@@ -2,36 +2,43 @@
 
 A structure map assigns to each generator an exact matrix of the right
 shape and homological degree.  Terms evaluate by layerizing first and then
-folding rows: units become identities, permutation gaps become signed
-permutation matrices, layers tensor their factors, and successive rows
-compose.  A relation holds exactly when its evaluated matrix is the zero
-matrix; no tolerances exist anywhere.
+pushing basis tuples bottom-up through the rows of the layered monomial.
+Each generator becomes a column table (input basis tuple -> nonzero
+``(output tuple, coefficient)`` pairs); a permutation gap moves the slots
+of a tuple with its Koszul sign, and a layer applies its factors side by
+side, factor ``j`` picking up ``(-1)^(|f_j| * sum of the degrees of the
+inputs left of j)``.  These are the signs of :func:`linalg.tensor` and
+:func:`linalg.perm_action`, so the result equals the dense matrix fold
+while only ever touching nonzero entries.  A value becomes a dense
+``LinearMap`` once, at the edge.  A relation holds exactly when its value is
+the zero matrix; no tolerances exist anywhere.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .linalg import (
+    MAX_TENSOR_WIDTH,
     GradedSpace,
     LinearMap,
+    ShapeMismatch,
+    TensorWidthExceeded,
     compose,
-    identity_map,
     maps_equal,
-    perm_action,
-    tensor,
     tensor_power,
-    zero_map,
 )
+from .perm import Permutation, koszul_sign
 from .presentation import Presentation
 from .term import (
     GeneratorSymbol,
-    Layer,
     LayeredMonomial,
     LinearTerm,
     Term,
     UnitFactor,
+    homological_degree,
     layerize,
 )
 
@@ -88,44 +95,186 @@ def structure_map(
     return StructureMap(space, tuple(assignments.items()))
 
 
-def _layer_matrix(lam: StructureMap, layer: Layer) -> LinearMap:
-    mats = []
-    for f in layer.factors:
-        if isinstance(f, UnitFactor):
-            mats.append(identity_map(lam.space))
-        else:
-            m = lam.get(f)
-            if m is None:
+Basis = tuple[int, ...]
+Coef = Union[int, Fraction]
+# A step sends one basis tuple to its nonzero images.
+Step = Callable[[Basis], tuple[tuple[Basis, Coef], ...]]
+# A sparse matrix: (output tuple, input tuple) -> nonzero coefficient.
+Sparse = dict[tuple[Basis, Basis], Coef]
+
+
+def _exact(v: Fraction) -> Coef:
+    """Integers as ``int``: exact, and much cheaper to multiply."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _column_table(m: LinearMap) -> dict[Basis, tuple[tuple[Basis, Coef], ...]]:
+    ins = list(itertools.product(range(m.source.dim), repeat=m.source_power))
+    outs = list(itertools.product(range(m.target.dim), repeat=m.target_power))
+    table: dict[Basis, list[tuple[Basis, Coef]]] = {}
+    for r, row in enumerate(m.entries):
+        for c, v in enumerate(row):
+            if v:
+                table.setdefault(ins[c], []).append((outs[r], _exact(v)))
+    return {col: tuple(images) for col, images in table.items()}
+
+
+class _Evaluator:
+    """The column tables of one structure map, built once per call.
+
+    Within one relation, a row (a gap or a layer) met in several monomials
+    is one step with one memo of its per-tuple images.
+    """
+
+    def __init__(self, lam: StructureMap) -> None:
+        self.space = lam.space
+        self.tables = {g: _column_table(m) for g, m in lam.assignments}
+        self.degrees = lam.space.basis_degrees()
+        self.graded = any(d % 2 for d in self.degrees)
+
+    def _gap(self, perm: Permutation) -> Step:
+        order = tuple(i - 1 for i in perm.inverse().images)
+        degrees, graded = self.degrees, self.graded
+
+        def step(tup: Basis):
+            moved = tuple(tup[i] for i in order)
+            sign = koszul_sign(perm, [degrees[i] for i in tup]) if graded else 1
+            return ((moved, sign),)
+
+        return step
+
+    def _layer(self, factors) -> Step:
+        spans = []
+        pos = 0
+        for f in factors:
+            if isinstance(f, UnitFactor):
+                spans.append((pos, pos + 1, None, 0))
+                pos += 1
+                continue
+            table = self.tables.get(f)
+            if table is None:
                 raise MissingAssignment(f"no assignment for generator {f!r}")
-            mats.append(m)
-    out = mats[0]
-    for m in mats[1:]:
-        out = tensor(out, m)
-    return out
+            spans.append((pos, pos + f.in_arity, table, f.degree % 2))
+            pos += f.in_arity
+        degrees = self.degrees
 
+        def step(tup: Basis):
+            partial: list[tuple[Basis, Coef]] = [((), 1)]
+            odd_left = 0
+            for start, stop, table, odd in spans:
+                piece = tup[start:stop]
+                if table is None:
+                    partial = [(t + piece, c) for t, c in partial]
+                else:
+                    images = table.get(piece)
+                    if images is None:
+                        return ()
+                    if odd and odd_left % 2:
+                        images = tuple((u, -c) for u, c in images)
+                    partial = [(t + u, c * cu) for t, c in partial for u, cu in images]
+                odd_left += sum(degrees[i] for i in piece)
+            return tuple(partial)
 
-def eval_monomial(lam: StructureMap, mono: LayeredMonomial) -> LinearMap:
-    out = perm_action(mono.top.perm, lam.space)
-    for layer in mono.layers:
-        out = compose(out, _layer_matrix(lam, layer))
-        if not layer.below.perm.is_identity():
-            out = compose(out, perm_action(layer.below.perm, lam.space))
-    return out
+        return step
+
+    def monomial(self, mono: LayeredMonomial, shared: dict) -> Sparse:
+        """The monomial's matrix, one input column at a time.  ``shared``
+        holds the steps already built for the current relation.
+
+        Only the columns that the bottom layer does not send to zero are
+        pushed: the products of its factors' nonzero columns, moved back
+        through the gap below it.
+        """
+        widths = [mono.top.width] + [layer.below.width for layer in mono.layers]
+        if max(widths) > MAX_TENSOR_WIDTH:
+            raise TensorWidthExceeded(
+                f"tensor width {max(widths)} exceeds cap {MAX_TENSOR_WIDTH}")
+        rows = [(mono.top.perm, self._gap)]
+        for layer in mono.layers:
+            rows.append((layer.factors, self._layer))
+            rows.append((layer.below.perm, self._gap))
+        steps = []
+        for key, build in reversed(rows):
+            if isinstance(key, Permutation) and key.is_identity():
+                continue
+            if key not in shared:
+                shared[key] = (build(key), {})
+            steps.append(shared[key])
+        d = self.space.dim
+        if mono.layers:
+            bottom = mono.layers[-1]
+            unit = [(i,) for i in range(d)]
+            supports = [unit if isinstance(f, UnitFactor) else self.tables[f]
+                        for f in bottom.factors]
+            back = bottom.below.perm.inverse()
+            cols = (back.apply(sum(pieces, ())) for pieces in itertools.product(*supports))
+        else:
+            cols = itertools.product(range(d), repeat=mono.in_arity)
+        out: Sparse = {}
+        for col in cols:
+            vec: dict[Basis, Coef] = {col: 1}
+            for step, memo in steps:
+                pushed: dict[Basis, Coef] = {}
+                for tup, c in vec.items():
+                    images = memo.get(tup)
+                    if images is None:
+                        images = memo[tup] = step(tup)
+                    for u, cu in images:
+                        pushed[u] = pushed.get(u, 0) + c * cu
+                vec = pushed
+                if not vec:
+                    break
+            for row, v in vec.items():
+                if v:
+                    out[row, col] = v
+        return out
+
+    def term(self, t: Union[LinearTerm, LayeredMonomial, Term]) -> LinearMap:
+        if not isinstance(t, LinearTerm):
+            mono = layerize(t)
+            return self._to_map(self.monomial(mono, {}), mono.biarity, homological_degree(mono))
+        shared: dict = {}
+        total: Sparse = {}
+        degree = 0
+        for coef, mono in t.terms:
+            d = homological_degree(mono)
+            value = self.monomial(mono, shared)
+            if not total:
+                degree = d
+            elif value and d != degree:
+                raise ShapeMismatch(f"cannot add degrees {degree} and {d}")
+            c = _exact(coef)
+            for key, v in value.items():
+                s = total.get(key, 0) + c * v
+                if s:
+                    total[key] = s
+                else:
+                    del total[key]
+        return self._to_map(total, t.biarity, degree)
+
+    def _to_map(self, value: Sparse, biarity: tuple[int, int], degree: int) -> LinearMap:
+        n, m = biarity
+        d = self.space.dim
+
+        def index(tup: Basis) -> int:
+            i = 0
+            for x in tup:
+                i = i * d + x
+            return i
+
+        zero = Fraction(0)
+        entries = [[zero] * d ** m for _ in range(d ** n)]
+        for (row, col), v in value.items():
+            entries[index(row)][index(col)] = Fraction(v)
+        return LinearMap(self.space, m, self.space, n, degree,
+                         tuple(tuple(row) for row in entries))
 
 
 def eval_term(
     lam: StructureMap, t: Union[LinearTerm, LayeredMonomial, Term]
 ) -> LinearMap:
     """Evaluate a monomial or a sum in the endomorphism PROP of the carrier."""
-    if isinstance(t, LinearTerm):
-        n, m = t.biarity
-        total = zero_map(lam.space, m, lam.space, n)
-        for coef, mono in t.terms:
-            total = total.add(eval_monomial(lam, mono).scale(Fraction(coef)))
-        return total
-    if isinstance(t, LayeredMonomial):
-        return eval_monomial(lam, t)
-    return eval_monomial(lam, layerize(t))
+    return _Evaluator(lam).term(t)
 
 
 @dataclass(frozen=True)
@@ -152,9 +301,10 @@ class CheckReport:
 
 def check_algebra(lam: StructureMap, p: Presentation) -> CheckReport:
     """Evaluate every relation; Passed means the matrix is exactly zero."""
+    evaluator = _Evaluator(lam)
     checks = []
     for r, rel in enumerate(p.relations):
-        value = eval_term(lam, rel)
+        value = evaluator.term(rel)
         checks.append(RelationCheck(r, value.is_zero(), value))
     return CheckReport(tuple(checks))
 

@@ -5,9 +5,12 @@ graded space, morphisms are dense matrices of ``fractions.Fraction``.  No
 floating point appears anywhere; equality of maps is entrywise rational
 equality.
 
-Matrices are dense, which is fine at desk scale but grows like
-``dim^(n+m)`` with the tensor powers; widths beyond ``MAX_TENSOR_WIDTH``
-are refused with a clear error.
+Matrices are dense.  Relation checks do not fold them: they push basis
+tuples through sparse column tables (see :mod:`homprop.algebra`) and build
+a dense ``LinearMap`` only for each relation's value.  Dense products and
+tensors remain for morphism checks, the twisting constructions and the
+exact linear algebra (rank, inverse, characteristic polynomial).  Widths
+beyond ``MAX_TENSOR_WIDTH`` are refused with a clear error.
 
 Basis conventions, fixed once and relied on by every golden file:
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .perm import Permutation, koszul_sign
 
@@ -382,28 +385,3 @@ def maps_equal(f: LinearMap, g: LinearMap) -> bool:
         all(a == b for r1, r2 in zip(f.entries, g.entries) for a, b in zip(r1, r2))
     )
 
-
-def map_from_action(
-    source: GradedSpace,
-    target: GradedSpace,
-    source_power: int,
-    target_power: int,
-    degree: int,
-    action: Callable[[tuple[int, ...]], Iterable[tuple[Fraction, tuple[int, ...]]]],
-) -> LinearMap:
-    """Build a map from its action on tensor basis tuples.
-
-    ``action`` receives a tuple of source basis indices and yields
-    ``(coefficient, target basis tuple)`` pairs.
-    """
-    d_src, d_tgt = source.dim, target.dim
-    cols = d_src ** source_power
-    rows_n = d_tgt ** target_power
-    rows = [[Fraction(0)] * cols for _ in range(rows_n)]
-    for col, src_tuple in enumerate(itertools.product(range(d_src), repeat=source_power)):
-        for coeff, tgt_tuple in action(src_tuple):
-            row = 0
-            for idx in tgt_tuple:
-                row = row * d_tgt + idx
-            rows[row][col] += Fraction(coeff)
-    return LinearMap(source, source_power, target, target_power, degree, tuple(tuple(r) for r in rows))

@@ -1,7 +1,9 @@
 """JSON file formats for presentations, plans, spaces, matrices, algebras.
 
 Rationals travel as strings ("p/q" or "n") so no consumer can lose
-precision.  Term trees use the five-node schema
+precision.  On input, strings and JSON integers are accepted; floats and
+booleans are refused, because a float such as ``0.1`` already lost its
+exact value when it was parsed.  Term trees use the five-node schema
 
     {"gen": name} | {"unit": true} | {"perm": [images]} |
     {"tensor": [t1, t2, ...]} | {"vcomp": [top, ..., bottom]}
@@ -46,6 +48,16 @@ class ParseError(ValueError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ParseError(msg)
+
+
+def _rational(v: Any, where: str) -> Fraction:
+    """An exact rational from a JSON string or integer."""
+    _require(isinstance(v, (str, int)) and not isinstance(v, bool),
+             f"{where}: {v!r} is not exact; write rationals as strings or integers")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"{where}: {v!r} is not a rational") from e
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +167,7 @@ def presentation_from_json(data: Any) -> Presentation:
         _require(len(rel) >= 1, "empty relation")
         pairs = []
         for item in rel:
-            coef = Fraction(item["coef"])
+            coef = _rational(item["coef"], "coef")
             mono = layerize(term_from_json(item["monomial"], sig))
             pairs.append((coef, mono))
         relations.append(LinearTerm(tuple(pairs)))
@@ -202,8 +214,9 @@ def matrix_to_json(m: LinearMap) -> Any:
 
 
 def matrix_rows_from_json(data: Any) -> list[list[Fraction]]:
-    _require(isinstance(data, list), "matrix must be a list of rows")
-    return [[Fraction(v) for v in row] for row in data]
+    _require(isinstance(data, list) and all(isinstance(row, list) for row in data),
+             "matrix must be a list of rows")
+    return [[_rational(v, "matrix entry") for v in row] for row in data]
 
 
 def algebra_to_json(lam: StructureMap) -> Any:

@@ -38,6 +38,7 @@ from homprop.term import (
     UnitLeaf,
     VComp,
     layerize,
+    linear_term,
     tensor,
     vcomp,
 )
@@ -235,6 +236,23 @@ def test_missing_assignment_raises():
     lam = structure_map(DUAL_SPACE, {})
     with pytest.raises(MissingAssignment):
         eval_term(lam, p.relations[0])
+
+
+def test_relation_with_values_in_two_degree_blocks_is_refused():
+    # A non-normal relation a + b with |a| = 0 and |b| = 1: its monomials
+    # have nonzero values in two degree blocks, so their sum is no
+    # homogeneous map.
+    space = GradedSpace.from_dims({0: 1, 1: 1})
+    a, b = GeneratorSymbol("a", 1, 1, 0), GeneratorSymbol("b", 1, 1, 1)
+    odd = make_map(space, space, [[0, 0], [1, 0]], degree=1)
+    rel = linear_term([(1, Gen(a)), (1, Gen(b))])
+    with pytest.raises(ValueError):
+        eval_term(structure_map(space, {a: identity_map(space), b: odd}), rel)
+    # A monomial whose value is zero adds nothing, whatever its degree.
+    zero = make_map(space, space, [[0, 0], [0, 0]], degree=1)
+    value = eval_term(structure_map(space, {a: identity_map(space), b: zero}), rel)
+    assert value.degree == 0
+    assert maps_equal(value, identity_map(space))
 
 
 def test_flip_beta_is_morphism():

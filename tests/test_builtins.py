@@ -213,6 +213,23 @@ def test_sl2_as_l_infinity_passes_n4():
     assert check_algebra(lam, p).all_passed()
 
 
+def test_sl2_as_l_infinity_passes_n5():
+    from homprop.corpus import SL2_SPACE, sl2
+
+    p, _ = l_infinity(5)
+    bracket = sl2()[as_g(SubgroupTag.A3).signature["mu"]]
+    maps = {}
+    for g in p.signature.generators:
+        if g.in_arity == 2:
+            maps[g] = bracket
+        else:
+            maps[g] = zero_map(SL2_SPACE, g.in_arity, SL2_SPACE, 1, degree=g.degree)
+    lam = structure_map(SL2_SPACE, maps)
+    report = check_algebra(lam, p)
+    assert len(report.checks) == 153
+    assert report.all_passed()
+
+
 def test_odd_heisenberg_passes_n4():
     from homprop.corpus import odd_heisenberg_dgla
 

@@ -1,10 +1,20 @@
 import json
 from pathlib import Path
 
-from homprop.builtins import AsVariant, SubgroupTag, as_g, as_variant, bialgebra, ybe
+from homprop.algebra import structure_map
+from homprop.builtins import (
+    AsVariant,
+    SubgroupTag,
+    as_g,
+    as_variant,
+    associativity,
+    bialgebra,
+    ybe,
+)
 from homprop.linalg import make_map
 from homprop.cli import main
 from homprop.corpus import (
+    SL2_SPACE,
     dual_numbers,
     dual_numbers_beta,
     flip_beta,
@@ -249,6 +259,64 @@ def test_input_error_exit_codes(tmp_path):
     assert code == 3
     code = main(["check", "--builtin", "unknown-name", "--algebra", str(bad)])
     assert code == 3
+
+
+def test_check_report_golden_sl2_bracket_not_associative(tmp_path):
+    mu = associativity().signature["mu"]
+    bracket = sl2()[as_g(SubgroupTag.A3).signature["mu"]]
+    algebra = write(tmp_path, "sl2.json", algebra_to_json(structure_map(SL2_SPACE, {mu: bracket})))
+    out = tmp_path / "report.json"
+    assert main(["check", "--builtin", "as", "--algebra", algebra, "--out", str(out)]) == 1
+    assert out.read_text() == "\n".join([
+        "{",
+        '  "command": "check",',
+        '  "relations": [',
+        "    {",
+        '      "index": 0,',
+        '      "max_abs_entry": "4",',
+        '      "passed": false',
+        "    }",
+        "  ],",
+        '  "status": "fail"',
+        "}",
+        "",
+    ])
+
+
+def test_relation_with_values_in_two_degree_blocks_is_an_input_error(tmp_path, capsys):
+    pres = write(tmp_path, "p.json", {
+        "generators": [{"name": "a", "out": 1, "in": 1, "degree": 0},
+                       {"name": "b", "out": 1, "in": 1, "degree": 1}],
+        "relations": [[{"coef": "1", "monomial": {"gen": "a"}},
+                       {"coef": "1", "monomial": {"gen": "b"}}]],
+    })
+    algebra = write(tmp_path, "a.json", {
+        "space": {"dims": {"0": 1, "1": 1}},
+        "maps": {"a": [["1", "0"], ["0", "1"]], "b": [["0", "0"], ["1", "0"]]},
+    })
+    assert main(["check", "--presentation", pres, "--algebra", algebra]) == 3
+    assert "cannot add degrees 0 and 1" in capsys.readouterr().err
+
+
+def test_inexact_numbers_are_input_errors(tmp_path, capsys):
+    data = algebra_to_json(dual_numbers())
+    data["maps"]["mu"][0][0] = 0.1
+    algebra = write(tmp_path, "float.json", data)
+    assert main(["check", "--builtin", "as", "--algebra", algebra]) == 3
+    assert "0.1 is not exact" in capsys.readouterr().err
+
+    good = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
+    beta = endomorphism_to_json(dual_numbers_beta(2))
+    beta["matrix"][1][0] = True
+    beta_file = write(tmp_path, "bool.json", beta)
+    assert main(["morphism", "--builtin", "as", "--algebra", good, "--beta", beta_file]) == 3
+    assert "True is not exact" in capsys.readouterr().err
+
+    pres = presentation_to_json(as_g(SubgroupTag.E))
+    pres["relations"][0][0]["coef"] = 1.0
+    pres_file = write(tmp_path, "coef.json", pres)
+    assert main(["check", "--presentation", pres_file, "--algebra", good]) == 3
+    assert "1.0 is not exact" in capsys.readouterr().err
 
 
 def test_ainf_sign_offset_flag(tmp_path):

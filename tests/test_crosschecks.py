@@ -1,122 +1,83 @@
 """Dual-route checks: independent evaluators and frozen golden outputs."""
+import functools
 import random
 from fractions import Fraction
 
 from homprop.algebra import eval_term, structure_map
 from homprop.builtins import AsVariant, as_variant, bialgebra
 from homprop.graphprop import term_to_graph
-from homprop.linalg import GradedSpace, make_map
+from homprop.linalg import (
+    GradedSpace,
+    compose,
+    identity_map,
+    make_map,
+    maps_equal,
+    perm_action,
+    tensor as tensor_map,
+    tensor_degrees,
+)
+from homprop.perm import Permutation
 from homprop.presentation import HomPlan, homify_typed
 from homprop.serialize import space_from_json, space_to_json
 from homprop.term import (
     Gen,
     GeneratorSymbol,
-    Tensor,
+    PermLeaf,
     UnitLeaf,
     UnitFactor,
     VComp,
     infer_biarity,
     layerize,
+    linear_term,
     tensor,
+    vcomp,
 )
 
-SPACE = GradedSpace.ungraded(2)
+SPACE = GradedSpace.from_dims({0: 1, 1: 1})  # basis 0 even, basis 1 odd
 MU = GeneratorSymbol("mu", 1, 2)
-DELTA = GeneratorSymbol("delta", 2, 1)
-ETA = GeneratorSymbol("eta", 1, 1)
+NU = GeneratorSymbol("nu", 1, 2, 1)
+DELTA = GeneratorSymbol("delta", 2, 1, 1)
+ETA = GeneratorSymbol("eta", 1, 1, -1)
+POINT = GeneratorSymbol("point", 1, 0, 1)
+GENERATORS = (MU, NU, DELTA, ETA, POINT)
 
 
-def eval_elementwise(tables, mono, basis_tuple):
-    """Independent evaluator: walk the layered monomial bottom-up applying
-    dict-of-columns tables to formal sums of basis tuples.  Ungraded, so no
-    signs anywhere; permutation gaps rearrange tuples directly."""
-    state = {basis_tuple: Fraction(1)}
-
-    def apply_perm(perm, vec):
-        out = {}
-        for tup, coef in vec.items():
-            out[perm.apply(tup)] = out.get(perm.apply(tup), 0) + coef
-        return out
-
-    def apply_layer(factors, vec):
-        out = {}
-        for tup, coef in vec.items():
-            # split the tuple across the factors and expand each image sum
-            partials = [((), coef)]
-            pos = 0
-            for f in factors:
-                arity = 1 if isinstance(f, UnitFactor) else f.in_arity
-                piece = tup[pos:pos + arity]
-                pos += arity
-                if isinstance(f, UnitFactor):
-                    images = {piece: Fraction(1)}
-                else:
-                    images = tables[f.name].get(piece, {})
-                new_partials = []
-                for prefix, c in partials:
-                    for img, ci in images.items():
-                        new_partials.append((prefix + img, c * ci))
-                partials = new_partials
-            for tup_out, c in partials:
-                out[tup_out] = out.get(tup_out, 0) + c
-        return {k: v for k, v in out.items() if v}
-
-    rows = []
-    rows.append(("perm", mono.top.perm))
+def dense_fold(lam, mono):
+    """Independent evaluator: the dense matrix fold.  Each gap is a signed
+    permutation matrix, each layer the Koszul-signed Kronecker product of
+    its factors, and successive rows compose."""
+    out = perm_action(mono.top.perm, lam.space)
     for layer in mono.layers:
-        rows.append(("layer", layer.factors))
-        rows.append(("perm", layer.below.perm))
-    for kind, payload in reversed(rows):
-        if kind == "perm":
-            state = apply_perm(payload, state)
-        else:
-            state = apply_layer(payload, state)
-    return state
+        mats = [identity_map(lam.space) if isinstance(f, UnitFactor) else lam[f]
+                for f in layer.factors]
+        out = compose(out, functools.reduce(tensor_map, mats))
+        out = compose(out, perm_action(layer.below.perm, lam.space))
+    return out
 
 
-def random_tables(rng):
-    tables = {}
-    for g in (MU, DELTA, ETA):
-        table = {}
-        for col in _tuples(g.in_arity):
-            images = {}
-            for tup in _tuples(g.out_arity):
-                v = rng.randint(-2, 2)
-                if v:
-                    images[tup] = Fraction(v)
-            table[col] = images
-        tables[g.name] = table
-    return tables
+def random_homogeneous(rng, g):
+    """A random matrix for ``g`` that respects its degree."""
+    src = tensor_degrees(SPACE, g.in_arity)
+    tgt = tensor_degrees(SPACE, g.out_arity)
+    rows = [[rng.randint(-2, 2) if t == s + g.degree else 0 for s in src] for t in tgt]
+    return make_map(SPACE, SPACE, rows, source_power=g.in_arity,
+                    target_power=g.out_arity, degree=g.degree)
 
 
-def _tuples(arity, dim=2):
-    if arity == 0:
-        return [()]
-    shorter = _tuples(arity - 1, dim)
-    return [t + (i,) for t in shorter for i in range(dim)]
-
-
-def tables_to_structure_map(tables):
-    maps = {}
-    for g in (MU, DELTA, ETA):
-        rows = [[Fraction(0)] * (2 ** g.in_arity) for _ in range(2 ** g.out_arity)]
-        for col_idx, col in enumerate(_tuples(g.in_arity)):
-            for tup, coef in tables[g.name].get(col, {}).items():
-                row_idx = 0
-                for i in tup:
-                    row_idx = row_idx * 2 + i
-                rows[row_idx][col_idx] = coef
-        maps[g] = make_map(SPACE, SPACE, rows,
-                           source_power=g.in_arity, target_power=g.out_arity)
-    return structure_map(SPACE, maps)
+def random_permutation(rng, n):
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
 
 
 def random_monomial(rng):
+    """A random raw term with permutation gaps between its rows and below
+    its bottom row."""
     def strip(out_arity):
         parts = []
         remaining = out_arity
         while remaining > 0:
-            pool = [g for g in (MU, DELTA, ETA) if g.out_arity <= remaining] + ["unit"]
+            pool = [g for g in GENERATORS if g.out_arity <= remaining] + ["unit"]
             pick = pool[rng.randrange(len(pool))]
             if pick == "unit":
                 parts.append(UnitLeaf())
@@ -126,29 +87,41 @@ def random_monomial(rng):
                 remaining -= pick.out_arity
         return tensor(*parts)
 
-    t = strip(rng.randint(1, 2))
-    for _ in range(rng.randint(0, 2)):
+    t = VComp(PermLeaf(random_permutation(rng, 2)), strip(2))
+    for _ in range(rng.randint(1, 3)):
         m = infer_biarity(t)[1]
         if m == 0 or m > 3:
             break
-        t = VComp(t, strip(m))
-    return t
+        t = vcomp(t, PermLeaf(random_permutation(rng, m)), strip(m))
+    m = infer_biarity(t)[1]
+    return VComp(t, PermLeaf(random_permutation(rng, m))) if m > 1 else t
 
 
-def test_eval_matches_elementwise_interpreter():
+def test_sparse_evaluation_matches_graded_dense_fold():
     rng = random.Random(101)
-    for _ in range(40):
-        tables = random_tables(rng)
-        lam = tables_to_structure_map(tables)
-        t = random_monomial(rng)
-        mono = layerize(t)
-        if mono.in_arity > 3 or mono.out_arity > 3:
+    compared = odd_nonzero = permuted = 0
+    for _ in range(150):
+        lam = structure_map(SPACE, {g: random_homogeneous(rng, g) for g in GENERATORS})
+        mono = layerize(random_monomial(rng))
+        if max([mono.top.width] + [layer.below.width for layer in mono.layers]) > 4:
             continue
-        matrix = eval_term(lam, mono)
-        for col_idx, col in enumerate(_tuples(mono.in_arity)):
-            expected = eval_elementwise(tables, mono, col)
-            for row_idx, row in enumerate(_tuples(mono.out_arity)):
-                assert matrix.entries[row_idx][col_idx] == expected.get(row, 0)
+        expected = dense_fold(lam, mono)
+        value = eval_term(lam, mono)
+        assert value.degree == expected.degree
+        assert maps_equal(value, expected)
+        # A sum of the monomial and a permuted copy of it, against the
+        # dense sum.
+        twin = layerize(VComp(PermLeaf(random_permutation(rng, mono.out_arity)), mono))
+        rel = linear_term([(Fraction(rng.choice((-2, 1, 3))), mono), (Fraction(1, 2), twin)])
+        dense_sum = expected.scale(rel.terms[0][0]).add(dense_fold(lam, twin).scale(Fraction(1, 2)))
+        assert maps_equal(eval_term(lam, rel), dense_sum)
+        compared += 1
+        if not expected.is_zero() and any(g.degree % 2 for g in mono.generators()):
+            odd_nonzero += 1
+        if mono.layers and not mono.layers[-1].below.perm.is_identity():
+            permuted += 1
+    # The sample must exercise the graded signs and the permutation gaps.
+    assert compared >= 100 and odd_nonzero >= 30 and permuted >= 30, (compared, odd_nonzero, permuted)
 
 
 def test_graph_dump_golden():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -144,3 +145,44 @@ def test_rationals_as_strings():
 def test_dumps_stable():
     p = bialgebra()
     assert dumps(presentation_to_json(p)) == dumps(presentation_to_json(bialgebra()))
+
+
+INEXACT_OR_MALFORMED = [0.1, 1.0, True, False, None, [1], "1/0", "one"]
+
+
+@pytest.mark.parametrize("bad", INEXACT_OR_MALFORMED, ids=repr)
+def test_matrix_entries_must_be_exact_rationals(bad):
+    data = endomorphism_to_json(dual_numbers_beta(2))
+    data["matrix"][0][1] = bad
+    with pytest.raises(ParseError):
+        endomorphism_from_json(data)
+
+
+@pytest.mark.parametrize("bad", INEXACT_OR_MALFORMED, ids=repr)
+def test_algebra_entries_must_be_exact_rationals(bad):
+    data = algebra_to_json(dual_numbers())
+    data["maps"]["mu"][1][2] = bad
+    with pytest.raises(ParseError):
+        algebra_from_json(data, as_g(SubgroupTag.E))
+
+
+@pytest.mark.parametrize("bad", INEXACT_OR_MALFORMED, ids=repr)
+def test_presentation_coefficients_must_be_exact_rationals(bad):
+    data = presentation_to_json(as_g(SubgroupTag.E))
+    data["relations"][0][1]["coef"] = bad
+    with pytest.raises(ParseError):
+        presentation_from_json(data)
+
+
+def test_matrix_rows_must_be_lists():
+    data = endomorphism_to_json(dual_numbers_beta(2))
+    data["matrix"][0] = "20"
+    with pytest.raises(ParseError):
+        endomorphism_from_json(data)
+
+
+def test_integers_and_rational_strings_are_exact():
+    data = endomorphism_to_json(dual_numbers_beta(2))
+    data["matrix"] = [[2, "0"], [" -3/6 ", 1]]
+    beta = endomorphism_from_json(data)
+    assert beta.entries == ((Fraction(2), Fraction(0)), (Fraction(-1, 2), Fraction(1)))
