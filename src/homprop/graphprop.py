@@ -9,13 +9,14 @@ parallel strands and no vertices is ``exceptional(n)``.
 
 Horizontal composition is disjoint union, vertical composition grafting;
 the unit and all permutations become bare strands, so interchange-equival-
-ent terms lower to isomorphic graphs.  Isomorphism is decided by back-
-tracking over vertices with (decoration, wiring) refinement, adequate for
-the <= 12 vertex graphs produced here.
+ent terms lower to isomorphic graphs.  Because every port is labelled, the
+graphs are rigid: one walk from the boundary numbers the vertices
+canonically (``canonical_order``), and two graphs are isomorphic exactly
+when their ``canonical_key``s are equal.  A component without boundary
+ports cannot be reached by that walk and is refused with ValueError.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,13 +28,6 @@ from .term import (
     layerize,
     Term,
 )
-
-MAX_ISO_VERTICES = 12
-
-
-class GraphSizeExceeded(ValueError):
-    pass
-
 
 class GraftMismatch(ValueError):
     pass
@@ -193,8 +187,55 @@ def _layer_graph(layer: Layer) -> DecoratedGraph:
     return g
 
 
-def _strand_map(g: DecoratedGraph) -> dict[Endpoint, Endpoint]:
-    return {a: b for a, b in g.edges}
+def canonical_order(g: DecoratedGraph) -> tuple[int, ...]:
+    """The vertices of ``g`` in canonical order.
+
+    A breadth-first walk enters from outputs 1..n, then from inputs 1..m; at
+    each vertex it follows the output ports, then the input ports, in port
+    order, and numbers vertices by first visit.  Ports are labelled, so an
+    isomorphism carries this order of one graph onto that of the other.  A
+    component with no boundary port is never reached: ValueError.
+    """
+    after = dict(g.edges)
+    before = {b: a for a, b in g.edges}
+    order: list[int] = []
+    seen: set[int] = set()
+
+    def reach(e: Endpoint) -> None:
+        if e[0] in ("vo", "vi") and e[1] not in seen:
+            seen.add(e[1])
+            order.append(e[1])
+
+    for j in range(1, g.n_out + 1):
+        reach(before[("out", j)])
+    for i in range(1, g.n_in + 1):
+        reach(after[("in", i)])
+    for v in order:  # the walk appends to ``order`` while it runs
+        d = g.decorations[v]
+        for p in range(1, d.out_arity + 1):
+            reach(after[("vo", v, p)])
+        for p in range(1, d.in_arity + 1):
+            reach(before[("vi", v, p)])
+    if len(order) != len(g.decorations):
+        raise ValueError("a graph component without boundary ports has no canonical form")
+    return tuple(order)
+
+
+def canonical_key(g: DecoratedGraph) -> tuple:
+    """A hashable, sortable key that is equal exactly for isomorphic graphs:
+    the biarity, the decorations in canonical order and the edge list
+    renumbered by that order."""
+    order = canonical_order(g)
+    number = {v: k for k, v in enumerate(order)}
+
+    def rename(e: Endpoint) -> Endpoint:
+        return (e[0], number[e[1]], e[2]) if e[0] in ("vo", "vi") else e
+
+    decorations = tuple(
+        (d.name, d.out_arity, d.in_arity, d.degree) for d in (g.decorations[v] for v in order)
+    )
+    edges = tuple(sorted((rename(a), rename(b)) for a, b in g.edges))
+    return (g.n_out, g.n_in), decorations, edges
 
 
 def isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> Optional[dict[int, int]]:
@@ -203,111 +244,6 @@ def isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> Optional[dict[int, int]]
     Graph input/output port labels must correspond identically; vertex ports
     must match index by index.
     """
-    if len(a.decorations) > MAX_ISO_VERTICES or len(b.decorations) > MAX_ISO_VERTICES:
-        raise GraphSizeExceeded(f"isomorphism search limited to {MAX_ISO_VERTICES} vertices")
-    if (a.n_in, a.n_out) != (b.n_in, b.n_out):
+    if canonical_key(a) != canonical_key(b):
         return None
-    if sorted(g.name for g in a.decorations) != sorted(g.name for g in b.decorations):
-        return None
-    a_next, b_next = _strand_map(a), _strand_map(b)
-
-    def compatible(va: int, vb: int, partial: dict[int, int]) -> bool:
-        if a.decorations[va] != b.decorations[vb]:
-            return False
-        ga = a.decorations[va]
-        # Outgoing wiring must match under the partial map.
-        for p in range(1, ga.out_arity + 1):
-            ta, tb = a_next[("vo", va, p)], b_next[("vo", vb, p)]
-            if ta[0] != tb[0]:
-                return False
-            if ta[0] == "out":
-                if ta != tb:
-                    return False
-            else:
-                if ta[2] != tb[2]:
-                    return False
-                if ta[1] in partial and partial[ta[1]] != tb[1]:
-                    return False
-        return True
-
-    def full_check(partial: dict[int, int]) -> bool:
-        # Verify the whole edge set once the vertex map is total.
-        def rename(e: Endpoint) -> Endpoint:
-            if e[0] in ("vo", "vi"):
-                return (e[0], partial[e[1]], e[2])
-            return e
-
-        return {(rename(x), rename(y)) for x, y in a.edges} == set(b.edges)
-
-    n = len(a.decorations)
-    order = sorted(range(n), key=lambda v: (a.decorations[v].name, v))
-    candidates = {
-        va: [vb for vb in range(n) if b.decorations[vb] == a.decorations[va]]
-        for va in range(n)
-    }
-
-    def search(idx: int, partial: dict[int, int], used: set[int]) -> Optional[dict[int, int]]:
-        if idx == n:
-            if full_check(partial):
-                return dict(partial)
-            return None
-        va = order[idx]
-        for vb in candidates[va]:
-            if vb in used:
-                continue
-            partial[va] = vb
-            if compatible(va, vb, partial):
-                found = search(idx + 1, partial, used | {vb})
-                if found is not None:
-                    return found
-            del partial[va]
-        return None
-
-    return search(0, {}, set())
-
-
-def graphs_equal_as_elements(a: DecoratedGraph, b: DecoratedGraph) -> bool:
-    """Equality of free-PROP monomials modulo graph isomorphism.
-
-    Coinvariants under graph automorphisms can in principle introduce signs
-    when odd-degree decorations meet a nontrivial automorphism; that case is
-    outside the supported builtins and is rejected loudly.
-    """
-    iso = isomorphic(a, b)
-    if iso is None:
-        return False
-    if any(g.degree % 2 for g in a.decorations):
-        auto = _has_nontrivial_automorphism(a)
-        if auto:
-            raise NotImplementedError(
-                "sign-twisted coinvariants: odd-degree decorations with a "
-                "nontrivial graph automorphism are not supported"
-            )
-    return True
-
-
-def _has_nontrivial_automorphism(g: DecoratedGraph) -> bool:
-    n = len(g.decorations)
-    if n < 2:
-        return False
-    nxt = _strand_map(g)
-
-    def is_automorphism(perm: tuple[int, ...]) -> bool:
-        mapping = {("in", i): ("in", i) for i in range(1, g.n_in + 1)}
-
-        def rename(e: Endpoint) -> Endpoint:
-            if e[0] == "vo":
-                return ("vo", perm[e[1]], e[2])
-            if e[0] == "vi":
-                return ("vi", perm[e[1]], e[2])
-            return e
-
-        if any(g.decorations[v] != g.decorations[perm[v]] for v in range(n)):
-            return False
-        renamed = {(rename(a), rename(b)) for a, b in g.edges}
-        return renamed == set(g.edges)
-
-    for perm in itertools.permutations(range(n)):
-        if perm != tuple(range(n)) and is_automorphism(perm):
-            return True
-    return False
+    return dict(zip(canonical_order(a), canonical_order(b)))

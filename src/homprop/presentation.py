@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional, Sequence
 
-from .graphprop import isomorphic, term_to_graph
+from .graphprop import canonical_key, term_to_graph
 from .term import (
     UNIT,
     GeneratorSymbol,
@@ -273,57 +273,37 @@ def is_normal(p: Presentation) -> NormalityReport:
 # Relation comparison modulo graph isomorphism
 
 
+def _grouped(rel: LinearTerm) -> dict[tuple, list]:
+    """Canonical graph key -> [summed coefficient, first monomial with that key]."""
+    groups: dict[tuple, list] = {}
+    for coef, mono in rel.terms:
+        groups.setdefault(canonical_key(term_to_graph(mono)), [0, mono])[0] += coef
+    return groups
+
+
 def simplify_relation(rel: LinearTerm) -> Optional[LinearTerm]:
     """Combine graph-isomorphic monomials; None if everything cancels."""
-    groups: list[tuple[Fraction, object, LinearTerm]] = []  # (coef, graph, monomial)
-    kept: list[list] = []
-    for coef, mono in rel.terms:
-        g = term_to_graph(mono)
-        for entry in kept:
-            if entry[1].n_in == g.n_in and entry[1].n_out == g.n_out and isomorphic(entry[1], g):
-                entry[0] += coef
-                break
-        else:
-            kept.append([coef, g, mono])
-    remaining = tuple((c, m) for c, _, m in kept if c != 0)
+    remaining = tuple((c, m) for c, m in _grouped(rel).values() if c != 0)
     if not remaining:
         return None
     return LinearTerm(remaining)
 
 
+def relation_key(rel: LinearTerm) -> tuple:
+    """The sorted (graph key, coefficient) pairs of the simplified relation,
+    divided by the leading coefficient; () if everything cancels.  Two
+    relations match exactly when their keys are equal."""
+    pairs = sorted((key, c) for key, (c, _) in _grouped(rel).items() if c != 0)
+    if not pairs:
+        return ()
+    lead = pairs[0][1]
+    return tuple((key, Fraction(c) / lead) for key, c in pairs)
+
+
 def relations_match(r1: LinearTerm, r2: LinearTerm) -> bool:
     """Equality of relations up to graph isomorphism of monomials and an
     overall scalar."""
-    a = simplify_relation(r1)
-    b = simplify_relation(r2)
-    if a is None or b is None:
-        return a is None and b is None
-    if len(a.terms) != len(b.terms) or a.biarity != b.biarity:
-        return False
-    ratio = None
-    graphs_b = [(coef, term_to_graph(m)) for coef, m in b.terms]
-    used = [False] * len(graphs_b)
-
-    def match(i: int, ratio: Optional[Fraction]) -> bool:
-        if i == len(a.terms):
-            return True
-        coef_a, mono_a = a.terms[i]
-        g_a = term_to_graph(mono_a)
-        for j, (coef_b, g_b) in enumerate(graphs_b):
-            if used[j]:
-                continue
-            if isomorphic(g_a, g_b) is None:
-                continue
-            r = coef_b / coef_a
-            if ratio is not None and r != ratio:
-                continue
-            used[j] = True
-            if match(i + 1, r):
-                return True
-            used[j] = False
-        return False
-
-    return match(0, ratio)
+    return relation_key(r1) == relation_key(r2)
 
 
 def presentation_matches(
@@ -345,16 +325,6 @@ def presentation_matches(
         g: GeneratorSymbol(rename.get(g.name, g.name), g.out_arity, g.in_arity, g.degree)
         for g in p.signature.generators
     } if rename else None
-    used = [False] * len(q.relations)
-    for rel in p.relations:
-        if mapping:
-            rel = substitute(rel, mapping)
-        hit = next(
-            (j for j, other in enumerate(q.relations)
-             if not used[j] and relations_match(rel, other)),
-            None,
-        )
-        if hit is None:
-            return False
-        used[hit] = True
-    return True
+    mine = [substitute(rel, mapping) for rel in p.relations] if mapping else p.relations
+    return all(map(relations_match, sorted(mine, key=relation_key),
+                   sorted(q.relations, key=relation_key)))

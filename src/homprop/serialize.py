@@ -3,7 +3,8 @@
 Rationals travel as strings ("p/q" or "n") so no consumer can lose
 precision.  On input, strings and JSON integers are accepted; floats and
 booleans are refused, because a float such as ``0.1`` already lost its
-exact value when it was parsed.  Term trees use the five-node schema
+exact value when it was parsed.  Arities, degrees, dimensions,
+permutation images and plan labels must be JSON integers.  Term trees use the five-node schema
 
     {"gen": name} | {"unit": true} | {"perm": [images]} |
     {"tensor": [t1, t2, ...]} | {"vcomp": [top, ..., bottom]}
@@ -16,8 +17,9 @@ round trips.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .linalg import GradedSpace, LinearMap, make_map
 from .presentation import HomPlan, Presentation
@@ -58,6 +60,18 @@ def _rational(v: Any, where: str) -> Fraction:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"{where}: {v!r} is not a rational") from e
+
+
+def _integer(v: Any, where: str, lowest: Optional[int] = None) -> int:
+    """A JSON integer (not a boolean), at least ``lowest`` if given."""
+    _require(isinstance(v, int) and not isinstance(v, bool), f"{where}: {v!r} is not an integer")
+    _require(lowest is None or v >= lowest, f"{where}: {v!r} is below {lowest}")
+    return v
+
+
+def _list(v: Any, where: str) -> list:
+    _require(isinstance(v, list), f"{where} must be a list, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +135,14 @@ def term_from_json(data: Any, signature: Signature) -> Term:
     if "perm" in data:
         from .perm import Permutation
 
-        return PermLeaf(Permutation(tuple(data["perm"])))
+        return PermLeaf(Permutation(
+            tuple(_integer(i, "perm image") for i in _list(data["perm"], "perm"))))
     if "tensor" in data:
-        parts = [term_from_json(p, signature) for p in data["tensor"]]
+        parts = [term_from_json(p, signature) for p in _list(data["tensor"], "tensor")]
         _require(len(parts) >= 1, "empty tensor node")
         return tensor_term(*parts)
     if "vcomp" in data:
-        parts = [term_from_json(p, signature) for p in data["vcomp"]]
+        parts = [term_from_json(p, signature) for p in _list(data["vcomp"], "vcomp")]
         _require(len(parts) >= 1, "empty vcomp node")
         return vcomp_term(*parts)
     raise ParseError(f"unrecognized term node {data!r}")
@@ -157,16 +172,26 @@ def presentation_from_json(data: Any) -> Presentation:
     _require(isinstance(data, dict), "presentation file must be an object")
     _require("generators" in data and "relations" in data,
              "presentation needs 'generators' and 'relations'")
-    gens = tuple(
-        GeneratorSymbol(g["name"], g["out"], g["in"], g.get("degree", 0))
-        for g in data["generators"]
-    )
-    sig = Signature(gens)
+    gens = []
+    for g in _list(data["generators"], "generators"):
+        _require(isinstance(g, dict) and {"name", "out", "in"} <= g.keys(),
+                 f"generator needs 'name', 'out' and 'in', got {g!r}")
+        name = g["name"]
+        _require(isinstance(name, str), f"generator name {name!r} is not a string")
+        gens.append(GeneratorSymbol(
+            name,
+            _integer(g["out"], f"generator {name!r} out", 0),
+            _integer(g["in"], f"generator {name!r} in", 0),
+            _integer(g.get("degree", 0), f"generator {name!r} degree"),
+        ))
+    sig = Signature(tuple(gens))
     relations = []
-    for rel in data["relations"]:
-        _require(len(rel) >= 1, "empty relation")
+    for rel in _list(data["relations"], "relations"):
+        _require(len(_list(rel, "relation")) >= 1, "empty relation")
         pairs = []
         for item in rel:
+            _require(isinstance(item, dict) and "coef" in item and "monomial" in item,
+                     f"relation item needs 'coef' and 'monomial', got {item!r}")
             coef = _rational(item["coef"], "coef")
             mono = layerize(term_from_json(item["monomial"], sig))
             pairs.append((coef, mono))
@@ -185,15 +210,21 @@ def plan_to_json(plan: HomPlan) -> Any:
 def plan_from_json(data: Any) -> HomPlan:
     _require(isinstance(data, dict) and "S" in data and "theta" in data,
              "plan file needs 'S' and 'theta'")
-    blocks_labels = [tuple(b) for b in data["theta"]]
+    S = tuple(_integer(s, "S label") for s in _list(data["S"], "S"))
+    blocks_labels = [
+        tuple(_integer(s, "theta label") for s in _list(b, "theta block"))
+        for b in _list(data["theta"], "theta")
+    ]
     names = data.get("names")
     if names is None:
         if len(blocks_labels) == 1:
             names = ["alpha"]
         else:
             names = [f"alpha_{min(b)}" for b in blocks_labels]
+    _require(all(isinstance(n, str) for n in _list(names, "names")),
+             f"names must be strings, got {names!r}")
     _require(len(names) == len(blocks_labels), "names/theta length mismatch")
-    return HomPlan(tuple(data["S"]), tuple(zip(names, blocks_labels)))
+    return HomPlan(S, tuple(zip(names, blocks_labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +236,14 @@ def space_to_json(space: GradedSpace) -> Any:
 
 
 def space_from_json(data: Any) -> GradedSpace:
-    _require(isinstance(data, dict) and "dims" in data, "space needs 'dims'")
-    return GradedSpace.from_dims({int(d): int(k) for d, k in data["dims"].items()})
+    _require(isinstance(data, dict) and isinstance(data.get("dims"), dict),
+             "space needs 'dims', an object from degree to dimension")
+    dims = {}
+    for d, k in data["dims"].items():
+        _require(re.fullmatch(r"0|-?[1-9][0-9]*", d) is not None,
+                 f"dims: degree key {d!r} is not an integer")
+        dims[int(d)] = _integer(k, f"dims[{d!r}]", 0)
+    return GradedSpace.from_dims(dims)
 
 
 def matrix_to_json(m: LinearMap) -> Any:

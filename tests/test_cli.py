@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from homprop.algebra import structure_map
 from homprop.builtins import (
     AsVariant,
@@ -332,3 +334,71 @@ def test_homify_emits_to_stdout(tmp_path, capsys):
     assert main(["homify", "--builtin", "as", "--plan", "theta-min"]) == 0
     captured = capsys.readouterr()
     assert '"alpha"' in captured.out
+
+
+def _generator_field(key, value):
+    def edit(data):
+        data["generators"][0][key] = value
+    return edit
+
+
+def _top_level(key, value):
+    def edit(data):
+        data[key] = value
+    return edit
+
+
+def _first_monomial(value):
+    def edit(data):
+        data["relations"][0][0]["monomial"] = value
+    return edit
+
+
+BAD_PRESENTATIONS = {
+    "relations-string": (_top_level("relations", "x"), "relations must be a list"),
+    "generators-number": (_top_level("generators", 5), "generators must be a list"),
+    "relation-item-number": (_top_level("relations", [[5]]), "relation item needs"),
+    "in-float": (_generator_field("in", 1.5), "in: 1.5 is not an integer"),
+    "in-bool": (_generator_field("in", True), "in: True is not an integer"),
+    "in-negative": (_generator_field("in", -1), "in: -1 is below 0"),
+    "in-string": (_generator_field("in", "2"), "in: '2' is not an integer"),
+    "perm-number": (_first_monomial({"perm": 3}), "perm must be a list"),
+    "perm-bool": (_first_monomial({"perm": [True]}), "perm image: True is not an integer"),
+    "tensor-number": (_first_monomial({"tensor": 5}), "tensor must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PRESENTATIONS)
+def test_malformed_presentation_fields_are_input_errors(tmp_path, capsys, case):
+    edit, message = BAD_PRESENTATIONS[case]
+    data = presentation_to_json(as_g(SubgroupTag.E))
+    edit(data)
+    pres = write(tmp_path, "p.json", data)
+    algebra = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
+    assert main(["check", "--presentation", pres, "--algebra", algebra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize("dim,message", [
+    (1.7, "dims['0']: 1.7 is not an integer"),
+    (-1, "dims['0']: -1 is below 0"),
+], ids=["float", "negative"])
+def test_bad_dimensions_are_input_errors(tmp_path, capsys, dim, message):
+    data = algebra_to_json(dual_numbers())
+    data["space"]["dims"]["0"] = dim
+    algebra = write(tmp_path, "a.json", data)
+    assert main(["check", "--builtin", "as", "--algebra", algebra]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("S,message", [
+    (5, "S must be a list"),
+    ([1.0], "S label: 1.0 is not an integer"),
+    (["1"], "S label: '1' is not an integer"),
+], ids=["number", "float-label", "string-label"])
+def test_malformed_plan_fields_are_input_errors(tmp_path, capsys, S, message):
+    plan = write(tmp_path, "plan.json", {"S": S, "theta": [[1]]})
+    assert main(["homify", "--builtin", "as", "--plan", plan]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err

@@ -6,6 +6,7 @@ import pytest
 from homprop.graphprop import (
     DecoratedGraph,
     GraftMismatch,
+    canonical_key,
     corolla,
     disjoint_union,
     exceptional,
@@ -245,3 +246,103 @@ def test_dump_deterministic():
     assert d1 == d2
     assert d1.splitlines()[0] == "graph (1,3)"
     assert "v0: mu (1,2)" in d1
+
+
+ETA = GeneratorSymbol("eta", 1, 0)
+EPS = GeneratorSymbol("eps", 0, 1)
+KEY_GENS = [MU, DELTA, ALPHA, ETA, EPS, GeneratorSymbol("braiding", 2, 2),
+            GeneratorSymbol("d", 1, 1, 1), GeneratorSymbol("mu", 1, 2, 1)]
+
+
+def random_graph(rng: random.Random, size: int) -> DecoratedGraph:
+    """Corollas joined by disjoint union (either side) or grafted on top,
+    with strands padding either side and a random permutation between."""
+    g = exceptional(rng.randint(0, 1))
+    for _ in range(size):
+        piece = corolla(rng.choice(KEY_GENS))
+        if rng.random() < 0.4:
+            g = disjoint_union(g, piece) if rng.random() < 0.5 else disjoint_union(piece, g)
+            continue
+        pad = exceptional(abs(piece.n_in - g.n_out))
+        if piece.n_in < g.n_out:
+            piece = disjoint_union(piece, pad) if rng.random() < 0.5 else disjoint_union(pad, piece)
+        elif g.n_out < piece.n_in:
+            g = disjoint_union(g, pad) if rng.random() < 0.5 else disjoint_union(pad, g)
+        images = list(range(1, g.n_out + 1))
+        rng.shuffle(images)
+        g = graft(piece, graft(permutation_graph(tuple(images)), g))
+    return g
+
+
+def renumbered(g: DecoratedGraph, perm: list[int]) -> DecoratedGraph:
+    """The same graph with vertex v renamed perm[v]."""
+    decorations = [None] * len(perm)
+    for v, d in enumerate(g.decorations):
+        decorations[perm[v]] = d
+
+    def rename(e):
+        return (e[0], perm[e[1]], e[2]) if e[0] in ("vo", "vi") else e
+
+    return DecoratedGraph(g.n_out, g.n_in, tuple(decorations),
+                          frozenset((rename(a), rename(b)) for a, b in g.edges))
+
+
+def has_closed_component(g: DecoratedGraph) -> bool:
+    """Independent of the walk: union-find over edges, then look for a
+    vertex whose component touches no graph input or output."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    def node(e):
+        return ("v", e[1]) if e[0] in ("vo", "vi") else e
+
+    for a, b in g.edges:
+        parent[find(node(a))] = find(node(b))
+    open_roots = {find(node(e)) for edge in g.edges for e in edge if e[0] in ("in", "out")}
+    return any(find(("v", v)) not in open_roots for v in range(len(g.decorations)))
+
+
+def test_canonical_key_decides_isomorphism_random():
+    rng = random.Random(2024)
+    by_shape: dict = {}
+    closed = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 4))
+        if has_closed_component(g):
+            closed += 1
+            with pytest.raises(ValueError):
+                canonical_key(g)
+            continue
+        perm = list(range(len(g.decorations)))
+        rng.shuffle(perm)
+        copy = renumbered(g, perm)
+        assert canonical_key(copy) == canonical_key(g)
+        iso = isomorphic(g, copy)  # carries decorations and edges of g onto copy's
+        assert renumbered(g, [iso[v] for v in range(len(perm))]) == copy
+        # repr leaves out the degree, so graphs that differ only in it meet.
+        shape = (g.n_out, g.n_in, tuple(sorted(map(repr, g.decorations))))
+        by_shape.setdefault(shape, []).append(g)
+    assert closed > 0
+    pairs = agreeing = 0
+    for graphs in by_shape.values():
+        for a, b in itertools.combinations(graphs, 2):
+            same = canonical_key(a) == canonical_key(b)
+            assert same == brute_force_isomorphic(a, b)
+            assert (isomorphic(a, b) is not None) == same
+            pairs += 1
+            agreeing += same
+    assert 0 < agreeing < pairs  # both verdicts occur
+
+
+def test_closed_component_is_refused():
+    closed = graft(corolla(EPS), corolla(ETA))
+    assert (closed.n_out, closed.n_in) == (0, 0)
+    for g in (closed, disjoint_union(corolla(MU), closed)):
+        with pytest.raises(ValueError, match="without boundary ports"):
+            canonical_key(g)
+        with pytest.raises(ValueError):
+            isomorphic(g, g)

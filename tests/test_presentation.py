@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from homprop.builtins import (
@@ -7,6 +10,7 @@ from homprop.builtins import (
     as_variant,
     associativity,
     bialgebra,
+    builtin,
     generalized_bialgebra_plan,
     nambu,
     ybe,
@@ -30,6 +34,7 @@ from homprop.presentation import (
 from homprop.term import (
     Gen,
     GeneratorSymbol,
+    LinearTerm,
     Signature,
     Tensor,
     UnitLeaf,
@@ -277,6 +282,44 @@ def test_presentation_matches_with_rename():
     q_typed = homify_typed(p, theta_min(p.labels, name="twister"))
     q_ref = homify_typed(p, theta_min(p.labels))
     assert presentation_matches(q_typed, q_ref, rename={"twister": "alpha"})
+
+
+def _shuffled(p: Presentation, rng: random.Random) -> Presentation:
+    """Relation and monomial order shuffled, and every relation rescaled."""
+    rels = []
+    for rel in p.relations:
+        terms = list(rel.terms)
+        rng.shuffle(terms)
+        rels.append(LinearTerm(tuple(terms)).scaled(Fraction(rng.choice((-2, 1, 3)), 5)))
+    rng.shuffle(rels)
+    return Presentation(p.signature, tuple(rels))
+
+
+def test_presentation_matches_out_of_stored_order():
+    p, _ = builtin("ainf:4")
+    rng = random.Random(5)
+    shuffled = _shuffled(p, rng)
+    assert shuffled.relations != p.relations
+    assert presentation_matches(shuffled, p)
+    assert presentation_matches(p, shuffled)
+
+    # One coefficient's sign flipped: no relation of p is proportional to it.
+    rels = list(shuffled.relations)
+    r = next(i for i, rel in enumerate(rels) if len(rel.terms) >= 2)
+    (c, m), *rest = rels[r].terms
+    rels[r] = LinearTerm(((-c, m), *rest))
+    flipped = Presentation(p.signature, tuple(rels))
+    assert not presentation_matches(flipped, p)
+    assert not presentation_matches(p, flipped)
+
+
+def test_presentation_matches_counts_multiplicity():
+    p, _ = builtin("ainf:4")
+    first, second, *rest = p.relations
+    assert not relations_match(first, second)
+    doubled = Presentation(p.signature, (first, first, *rest))
+    assert not presentation_matches(doubled, p)
+    assert not presentation_matches(p, doubled)
 
 
 def test_unit_index_recomputed_on_homified():
