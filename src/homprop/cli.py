@@ -26,8 +26,8 @@ from .presentation import (
     HomPlan,
     PlanError,
     Presentation,
+    homify,
     homify_multiplicative,
-    homify_typed,
     is_normal,
     theta_max,
     theta_min,
@@ -116,12 +116,6 @@ def _plan(args, p: Presentation, default_plan: Optional[HomPlan]):
     return plan_from_json(_load_json(spec))
 
 
-def _homified(p: Presentation, plan):
-    if plan == "multiplicative" or plan is None:
-        return homify_multiplicative(p)
-    return homify_typed(p, plan)
-
-
 def _check_report(report) -> Any:
     return [
         {
@@ -151,8 +145,7 @@ def cmd_check(args) -> int:
 def cmd_homify(args) -> int:
     p, default_plan = _presentation(args)
     plan = _plan(args, p, default_plan)
-    q = _homified(p, plan)
-    _emit(presentation_to_json(q), args.out)
+    _emit(presentation_to_json(homify(p, plan)), args.out)
     return EXIT_PASS
 
 
@@ -192,7 +185,7 @@ def _twist_report(result, command: str) -> Any:
 def cmd_twist(args) -> int:
     p, default_plan = _presentation(args)
     plan = _plan(args, p, default_plan)
-    q = _homified(p, plan)
+    q = homify(p, plan)
     lam = algebra_from_json(_load_json(args.algebra), q)
     beta = endomorphism_from_json(_load_json(args.beta))
     result = twist_structure(lam, beta, q)
@@ -249,7 +242,7 @@ def cmd_iso_check(args) -> int:
     p, default_plan = _presentation(args)
     plan = _plan(args, p, default_plan)
     if plan == "multiplicative":
-        plan = theta_min(p.labels) if p.labels else None
+        plan = None
     lam = algebra_from_json(_load_json(args.algebra), p)
     rho = (
         algebra_from_json(_load_json(args.algebra2), p) if args.algebra2 else lam
@@ -316,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_: argparse.ArgumentParser, *, algebra=False, beta=False,
-               gamma=False, plan=False, n=False) -> None:
+    def common(p_: argparse.ArgumentParser, *, algebra=False, algebra2=False,
+               beta=False, beta2=False, gamma=False, plan=False, n=False) -> None:
         p_.add_argument("--presentation", help="presentation JSON file")
         p_.add_argument("--builtin", help="builtin presentation name")
         p_.add_argument("--out", help="write the JSON report here")
@@ -327,9 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if algebra:
             p_.add_argument("--algebra", required=True, help="algebra JSON file")
+        if algebra2:
             p_.add_argument("--algebra2", help="second algebra JSON file")
         if beta:
             p_.add_argument("--beta", required=True, help="endomorphism JSON file")
+        if beta2:
             p_.add_argument("--beta2", help="second endomorphism JSON file")
         if gamma:
             p_.add_argument("--gamma", required=True, help="candidate isomorphism file")
@@ -366,11 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_yau_twist)
 
     sp = sub.add_parser("morphism", help="check an algebra morphism on generators")
-    common(sp, algebra=True, beta=True)
+    common(sp, algebra=True, algebra2=True, beta=True)
     sp.set_defaults(func=cmd_morphism)
 
     sp = sub.add_parser("iso-check", help="certify an isomorphism witness for twisted structures")
-    common(sp, algebra=True, beta=True, gamma=True, plan=True)
+    common(sp, algebra=True, algebra2=True, beta=True, beta2=True, gamma=True,
+           plan=True)
     sp.set_defaults(func=cmd_iso_check)
 
     sp = sub.add_parser("builtins", help="list builtin presentations")

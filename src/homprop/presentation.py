@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, Union
 
 from .graphprop import canonical_key, term_to_graph
 from .term import (
@@ -195,6 +195,14 @@ def homify_typed(p: Presentation, plan: HomPlan) -> HomPresentation:
         kind="typed",
         twisting=tuple(symbols),
     )
+
+
+def homify(p: Presentation, plan: Union[HomPlan, str, None]) -> HomPresentation:
+    """The multiplicative hom-ification for ``"multiplicative"`` or None,
+    the typed one for a ``HomPlan``."""
+    if plan == "multiplicative" or plan is None:
+        return homify_multiplicative(p)
+    return homify_typed(p, plan)
 
 
 def projection_pi(

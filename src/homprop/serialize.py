@@ -220,7 +220,7 @@ def plan_from_json(data: Any) -> HomPlan:
         if len(blocks_labels) == 1:
             names = ["alpha"]
         else:
-            names = [f"alpha_{min(b)}" for b in blocks_labels]
+            names = [f"alpha_{min(b, default='')}" for b in blocks_labels]
     _require(all(isinstance(n, str) for n in _list(names, "names")),
              f"names must be strings, got {names!r}")
     _require(len(names) == len(blocks_labels), "names/theta length mismatch")
@@ -266,6 +266,8 @@ def algebra_to_json(lam: StructureMap) -> Any:
 def algebra_from_json(data: Any, p: Presentation) -> StructureMap:
     _require(isinstance(data, dict) and "space" in data and "maps" in data,
              "algebra file needs 'space' and 'maps'")
+    _require(isinstance(data["maps"], dict),
+             f"maps must be an object from generator name to matrix, got {data['maps']!r}")
     space = space_from_json(data["space"])
     maps = {}
     for g in p.signature.generators:

@@ -458,16 +458,15 @@ def _materialize_gap(gap: Interlayer, repl: Mapping[int, GeneratorSymbol]) -> tu
     """Replace marked wires of a gap; returns the stripped gap and, if any
     replacement happened, the freshly created layer sitting below the
     permutation."""
-    hit = {s: g for s, g in repl.items()}
-    if not hit:
+    if not repl:
         return gap, None
-    for g in hit.values():
+    for g in repl.values():
         _check_unit_replacement(g)
     w = gap.width
     factors: list[Factor] = []
     for s in range(1, w + 1):
-        if s in hit:
-            factors.append(hit[s])
+        if s in repl:
+            factors.append(repl[s])
         else:
             # Unreplaced wires keep a unit in the new row (marked wires stay
             # occurrences; unmarked wires acquire padding units).
@@ -481,18 +480,16 @@ def substitute(
     assignment: Mapping,
     *,
     relation_index: int = 0,
-    occurrences: Sequence[UnitOccurrence] = (),
 ) -> LinearTerm:
     """Occurrence-wise and symbol-wise replacement inside one relation.
 
     ``assignment`` keys are ``GeneratorSymbol`` (symbol-level renaming, the
     value may be a symbol of equal biarity or ``UNIT``) or ``UnitOccurrence``
-    objects from ``occurrences`` addressing units of this relation; their
-    values must be ``(1,1)`` symbols.
+    objects addressing units of this relation; their values must be
+    ``(1,1)`` symbols.
     """
     symbol_map: dict[GeneratorSymbol, Factor] = {}
     occ_map: dict[tuple[int, int, int], GeneratorSymbol] = {}
-    occ_by_label = {o.label: o for o in occurrences}
     for key, value in assignment.items():
         if isinstance(key, GeneratorSymbol):
             symbol_map[key] = value
@@ -500,13 +497,6 @@ def substitute(
             if key.relation_index == relation_index:
                 _check_unit_replacement(value)
                 occ_map[(key.monomial_index, key.layer_index, key.slot_index)] = value
-        elif isinstance(key, int):
-            occ = occ_by_label.get(key)
-            if occ is None:
-                raise SubstitutionError(f"label {key} not present in occurrence list")
-            if occ.relation_index == relation_index:
-                _check_unit_replacement(value)
-                occ_map[(occ.monomial_index, occ.layer_index, occ.slot_index)] = value
         else:
             raise SubstitutionError(f"bad assignment key {key!r}")
 

@@ -6,10 +6,11 @@ of a Hom-structure twists it into another one by
 
     twisted(y) = beta^{(x) q} . lam(y)        (q = out-arity of y)
 
-for every generator, twisting generators included.  Special cases: the
-derived sequence (twist repeatedly by the structure's own twisting map) and
-the Yau twist (start from an ordinary algebra and an endomorphism; the
-twisting generators are all interpreted as ``beta``).
+for every generator, twisting generators included.  ``_twisted`` builds it,
+and every construction here calls it: the derived structure is the twist by
+a power of the structure's own twisting map, and the Yau twist is the twist
+of an ordinary algebra whose twisting maps are the identity, so each
+twisting generator becomes ``beta``.
 
 Every construction re-verifies its output against the target presentation
 even though the underlying theorem guarantees it; a verification failure
@@ -18,7 +19,7 @@ with satisfied preconditions aborts loudly, because it can only be a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import (
     CheckReport,
@@ -44,11 +45,12 @@ from .presentation import (
     HomPresentation,
     NormalityReport,
     Presentation,
-    homify_multiplicative,
+    homify,
     homify_typed,
     is_normal,
     theta_min,
 )
+from .term import GeneratorSymbol
 
 
 class NormalityViolated(ValueError):
@@ -89,14 +91,9 @@ class PreconditionFailed(ValueError):
 class TwistPreconditions:
     normality: NormalityReport
     beta_morphism: MorphismCheck
-    covers_all_units: bool
 
     def all_hold(self) -> bool:
-        return (
-            self.normality.all_normal()
-            and self.beta_morphism.holds
-            and self.covers_all_units
-        )
+        return self.normality.all_normal() and self.beta_morphism.holds
 
 
 @dataclass(frozen=True)
@@ -106,10 +103,33 @@ class TwistResult:
     preconditions: TwistPreconditions
 
 
-def _twist_all_generators(lam: StructureMap, beta: LinearMap) -> StructureMap:
-    new = {}
-    for g in lam.symbols():
-        new[g] = compose(tensor_power(beta, g.out_arity), lam[g])
+def _require_algebra(lam: StructureMap, p: Presentation) -> None:
+    given = check_algebra(lam, p)
+    if not given.all_passed():
+        raise NotAnAlgebra(given)
+
+
+def _require_normal(p: Presentation) -> NormalityReport:
+    normality = is_normal(p)
+    if not normality.all_normal():
+        raise NormalityViolated(normality)
+    return normality
+
+
+def _require_morphism(beta: LinearMap, lam: StructureMap, p: Presentation) -> MorphismCheck:
+    check = is_morphism(beta, lam, lam, p)
+    if not check.holds:
+        raise BetaNotMorphism(check)
+    return check
+
+
+def _twisted(
+    lam: StructureMap, beta: LinearMap, twisting: Sequence[GeneratorSymbol] = ()
+) -> StructureMap:
+    """``beta^{(x) q} . lam(y)`` on every generator ``y`` of ``lam``, and
+    ``beta`` on each of the fresh ``twisting`` symbols."""
+    new = {g: compose(tensor_power(beta, g.out_arity), m) for g, m in lam.assignments}
+    new.update((sym, beta) for sym in twisting)
     return structure_map(lam.space, new)
 
 
@@ -136,44 +156,26 @@ def twist(lam: StructureMap, beta: LinearMap, p_h: HomPresentation) -> TwistResu
         raise TypeError("twist needs a hom-ified presentation")
     if not p_h.covers_all_units():
         raise SNotI()
-    normality = is_normal(p_h.base)
-    if not normality.all_normal():
-        raise NormalityViolated(normality)
-    given = check_algebra(lam, p_h)
-    if not given.all_passed():
-        raise NotAnAlgebra(given)
-    beta_check = is_morphism(beta, lam, lam, p_h)
-    if not beta_check.holds:
-        raise BetaNotMorphism(beta_check)
-    pre = TwistPreconditions(normality, beta_check, True)
-    return _verified_result(_twist_all_generators(lam, beta), p_h, pre)
+    normality = _require_normal(p_h.base)
+    _require_algebra(lam, p_h)
+    pre = TwistPreconditions(normality, _require_morphism(beta, lam, p_h))
+    return _verified_result(_twisted(lam, beta), p_h, pre)
 
 
 def derived_sequence(
     lam: StructureMap, p_mh: HomPresentation, n: int
 ) -> TwistResult:
-    """The n-th derived structure of a multiplicative Hom-algebra: generators
-    twisted by the n-th power of the twisting map, which itself becomes its
-    (n+1)-st power."""
+    """The n-th derived structure of a multiplicative Hom-algebra: its twist
+    by the n-th power of the twisting map, which itself becomes its (n+1)-st
+    power."""
     if p_mh.kind != "multiplicative":
         raise TypeError("derived sequences live over multiplicative hom-ifications")
     if n < 1:
         raise ValueError(f"derived power must be >= 1, got {n}")
-    given = check_algebra(lam, p_mh)
-    if not given.all_passed():
-        raise NotAnAlgebra(given)
-    alpha = p_mh.twisting[0]
-    a = lam[alpha]
-    beta = matrix_power(a, n)
-    new = {}
-    for g in p_mh.base.signature.generators:
-        new[g] = compose(tensor_power(beta, g.out_arity), lam[g])
-    new[alpha] = matrix_power(a, n + 1)
-    twisted = structure_map(lam.space, new)
-    normality = is_normal(p_mh.base)
-    beta_check = is_morphism(beta, lam, lam, p_mh)
-    pre = TwistPreconditions(normality, beta_check, True)
-    return _verified_result(twisted, p_mh, pre)
+    _require_algebra(lam, p_mh)
+    beta = matrix_power(lam[p_mh.twisting[0]], n)
+    pre = TwistPreconditions(is_normal(p_mh.base), is_morphism(beta, lam, lam, p_mh))
+    return _verified_result(_twisted(lam, beta), p_mh, pre)
 
 
 def yau_twist(
@@ -189,29 +191,14 @@ def yau_twist(
     ``plan`` is ``"multiplicative"`` (default) or a typed plan covering I.
     Returns the result together with the target hom-ified presentation.
     """
-    given = check_algebra(lam, p)
-    if not given.all_passed():
-        raise NotAnAlgebra(given)
-    normality = is_normal(p)
-    if not normality.all_normal():
-        raise NormalityViolated(normality)
-    beta_check = is_morphism(beta, lam, lam, p)
-    if not beta_check.holds:
-        raise BetaNotMorphism(beta_check)
-    if plan == "multiplicative" or plan is None:
-        target: HomPresentation = homify_multiplicative(p)
-    else:
-        target = homify_typed(p, plan)
-        if not target.covers_all_units():
-            raise SNotI()
-    new = {}
-    for g in p.signature.generators:
-        new[g] = compose(tensor_power(beta, g.out_arity), lam[g])
-    for sym in target.twisting:
-        new[sym] = beta
-    twisted = structure_map(lam.space, new)
-    pre = TwistPreconditions(normality, beta_check, True)
-    return _verified_result(twisted, target, pre), target
+    _require_algebra(lam, p)
+    normality = _require_normal(p)
+    beta_check = _require_morphism(beta, lam, p)
+    target = homify(p, plan)
+    if not target.covers_all_units():
+        raise SNotI()
+    pre = TwistPreconditions(normality, beta_check)
+    return _verified_result(_twisted(lam, beta, target.twisting), target, pre), target
 
 
 def transport_morphism(
@@ -232,19 +219,15 @@ def transport_morphism(
             f"(generator {f_check.witness_generator!r})",
             f_check.difference,
         )
-    for name, b, l in (("beta", beta, lam), ("beta'", beta2, lam2)):
-        c = is_morphism(b, l, l, p_h)
-        if not c.holds:
-            raise BetaNotMorphism(c)
+    _require_morphism(beta, lam, p_h)
+    _require_morphism(beta2, lam2, p_h)
     left = compose(f, beta)
     right = compose(beta2, f)
     if not maps_equal(left, right):
         raise PreconditionFailed(
             "f . beta != beta' . f", left.add(right.scale(-1))
         )
-    twisted1 = _twist_all_generators(lam, beta)
-    twisted2 = _twist_all_generators(lam2, beta2)
-    result = is_morphism(f, twisted1, twisted2, p_h)
+    result = is_morphism(f, _twisted(lam, beta), _twisted(lam2, beta2), p_h)
     if not result.holds:
         raise AssertionError(
             "internal error: morphism transport preconditions hold but the "
@@ -288,17 +271,9 @@ def iso_witness_check(
     witness = g_check.holds and g_inv_check.holds and commutes
     certified = is_injective(beta2)
 
-    the_plan = plan if plan is not None else theta_min(p.labels)
-    target = homify_typed(p, the_plan)
-    t1 = {g: compose(tensor_power(beta, g.out_arity), lam[g])
-          for g in p.signature.generators}
-    t2 = {g: compose(tensor_power(beta2, g.out_arity), lam2[g])
-          for g in p.signature.generators}
-    for sym in target.twisting:
-        t1[sym] = beta
-        t2[sym] = beta2
-    twisted1 = structure_map(lam.space, t1)
-    twisted2 = structure_map(lam2.space, t2)
+    target = homify_typed(p, plan if plan is not None else theta_min(p.labels))
+    twisted1 = _twisted(lam, beta, target.twisting)
+    twisted2 = _twisted(lam2, beta2, target.twisting)
     direct = is_morphism(gamma, twisted1, twisted2, target)
     direct_inv = is_morphism(inverse_map(gamma), twisted2, twisted1, target)
     if witness and not (direct.holds and direct_inv.holds):

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from homprop.builtins import (
     ybe,
 )
 from homprop.linalg import make_map
-from homprop.cli import main
+from homprop.cli import build_parser, main
 from homprop.corpus import (
     SL2_SPACE,
     dual_numbers,
@@ -26,7 +27,7 @@ from homprop.corpus import (
     sl2_gamma,
 )
 from homprop.linalg import compose, inverse_map
-from homprop.presentation import homify_typed, theta_min
+from homprop.presentation import homify_multiplicative, homify_typed, theta_min
 from homprop.serialize import (
     algebra_to_json,
     dumps,
@@ -176,8 +177,6 @@ def test_twist_refuses_s_not_i(tmp_path):
 
 def test_derived_command(tmp_path):
     p = as_g(SubgroupTag.E)
-    from homprop.presentation import homify_multiplicative
-
     q = homify_multiplicative(p)
     lam = hom_dual_structure(q)
     algebra = write(tmp_path, "mult.json", algebra_to_json(lam))
@@ -402,3 +401,74 @@ def test_malformed_plan_fields_are_input_errors(tmp_path, capsys, S, message):
     assert main(["homify", "--builtin", "as", "--plan", plan]) == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize("maps", ["mu", ["mu"]], ids=["string", "list"])
+def test_non_object_maps_are_input_errors(tmp_path, capsys, maps):
+    data = algebra_to_json(dual_numbers())
+    data["maps"] = maps
+    algebra = write(tmp_path, "a.json", data)
+    assert main(["check", "--builtin", "as", "--algebra", algebra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "maps must be an object" in err
+
+
+@pytest.mark.parametrize("names,block", [
+    (None, "alpha_"),
+    (["a", "b"], "b"),
+], ids=["default-names", "given-names"])
+def test_empty_theta_block_is_a_precondition_failure(tmp_path, capsys, names, block):
+    data = {"S": [1, 2], "theta": [[1, 2], []]}
+    if names is not None:
+        data["names"] = names
+    plan = write(tmp_path, "plan.json", data)
+    assert main(["homify", "--builtin", "as", "--plan", plan]) == 2
+    assert capsys.readouterr().err == f"precondition failed: block {block!r} is empty\n"
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that remembers which attributes were read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._reads: set[str] = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_declared_option_is_read(tmp_path):
+    dual = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
+    beta = write(tmp_path, "beta.json", endomorphism_to_json(dual_numbers_beta(2)))
+    identity = write(tmp_path, "id.json", endomorphism_to_json(dual_numbers_beta(1)))
+    mult = write(tmp_path, "mult.json", algebra_to_json(
+        hom_dual_structure(homify_multiplicative(associativity()))))
+    b = ["--builtin", "as"]
+    invocations = {
+        "check": [*b, "--algebra", dual],
+        "homify": [*b, "--plan", "theta-min"],
+        "normality": b,
+        "twist": [*b, "--plan", "multiplicative", "--algebra", mult, "--beta", beta],
+        "derived": [*b, "--algebra", mult, "--n", "2"],
+        "yau-twist": [*b, "--algebra", dual, "--beta", beta],
+        "morphism": [*b, "--algebra", dual, "--algebra2", dual, "--beta", beta],
+        "iso-check": [*b, "--plan", "theta-min", "--algebra", dual, "--algebra2", dual,
+                      "--beta", beta, "--beta2", beta, "--gamma", identity],
+        "builtins": [],
+        "graph-dump": b,
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(invocations)
+    for command, argv in invocations.items():
+        args = parser.parse_args([command, *argv, "--out", str(tmp_path / "out")],
+                                 namespace=_ReadRecorder())
+        args._reads.clear()  # forget the reads made while parsing
+        assert args.func(args) == 0, command
+        declared = {a.dest for a in subparsers[command]._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        unread = declared - args._reads
+        assert not unread, f"{command} declares options it never reads: {sorted(unread)}"

@@ -148,7 +148,7 @@ def test_substitute_units_with_alpha():
         (-1, vcomp(Gen(MU), Tensor(UnitLeaf(), Gen(MU)))),
     ])
     occs = index_units([rel])
-    hom = substitute(rel, {o: ALPHA for o in occs}, occurrences=occs)
+    hom = substitute(rel, {o: ALPHA for o in occs})
     expected = linear_term([
         (1, vcomp(Gen(MU), Tensor(Gen(MU), Gen(ALPHA)))),
         (-1, vcomp(Gen(MU), Tensor(Gen(ALPHA), Gen(MU)))),
@@ -171,7 +171,7 @@ def test_substitute_gap_marks_materialize_layer():
     occs = index_units([rel])
     assert len(occs) == 4
     # replace the first two bottom-row units (labels 2 and 3)
-    out = substitute(rel, {occs[1]: ALPHA, occs[2]: ALPHA}, occurrences=occs)
+    out = substitute(rel, {occs[1]: ALPHA, occs[2]: ALPHA})
     mono = out.terms[0][1]
     assert monomial_degree(mono) == 3
     assert mono.layers[2].factors == (ALPHA, ALPHA, UNIT)
@@ -182,7 +182,7 @@ def test_substitute_top_mark():
     t = vcomp(UnitLeaf(), Gen(MU), Tensor(Gen(MU), UnitLeaf()))
     rel = linear_term([(1, t)])
     occs = index_units([rel])
-    out = substitute(rel, {occs[0]: ALPHA}, occurrences=occs)
+    out = substitute(rel, {occs[0]: ALPHA})
     mono = out.terms[0][1]
     assert monomial_degree(mono) == 3
     assert mono.layers[0].factors == (ALPHA,)
@@ -208,7 +208,7 @@ def test_substitute_unit_with_wrong_biarity_rejected():
     rel = linear_term([(1, vcomp(Gen(MU), Tensor(UnitLeaf(), Gen(MU))))])
     occs = index_units([rel])
     with pytest.raises(SubstitutionError):
-        substitute(rel, {occs[0]: MU}, occurrences=occs)
+        substitute(rel, {occs[0]: MU})
 
 
 def test_linear_term_mixed_biarity_rejected():

@@ -23,6 +23,7 @@ from homprop.corpus import (
     aff1_bracket,
     c2_beta,
     c2_bialgebra,
+    corpus,
     dual_numbers,
     dual_numbers_beta,
     flip_beta,
@@ -332,3 +333,19 @@ def test_derived_of_yau_equals_yau_of_power():
             via_power, _ = yau_twist(algebra, power, presentation, "multiplicative")
             for g, m in via_derived.twisted.assignments:
                 assert maps_equal(m, via_power.twisted[g])
+
+
+def test_yau_twist_is_the_twist_of_the_identity_twisted_structure():
+    """The paper's corollary as an equality: Yau-twisting an algebra by beta
+    gives exactly the twist by beta of the Hom-structure whose twisting maps
+    are all the identity."""
+    for entry in corpus():
+        lam = entry.algebra()
+        beta = entry.betas[0]()
+        yau, target = yau_twist(lam, beta, entry.presentation, entry.plan)
+        untwisted = lam.with_assignments(
+            {s: identity_map(lam.space) for s in target.twisting})
+        via_twist = twist(untwisted, beta, target).twisted
+        assert yau.twisted.symbols() == via_twist.symbols(), entry.name
+        for g, m in yau.twisted.assignments:
+            assert m.entries == via_twist[g].entries, (entry.name, g)
