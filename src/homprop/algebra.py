@@ -4,18 +4,23 @@ A structure map assigns to each generator an exact matrix of the right
 shape and homological degree.  Terms evaluate by layerizing first and then
 pushing basis tuples bottom-up through the rows of the layered monomial.
 Each generator becomes a column table (input basis tuple -> nonzero
-``(output tuple, coefficient)`` pairs); a permutation gap moves the slots
-of a tuple with its Koszul sign, and a layer applies its factors side by
-side, factor ``j`` picking up ``(-1)^(|f_j| * sum of the degrees of the
-inputs left of j)``.  These are the signs of :func:`linalg.tensor` and
-:func:`linalg.perm_action`, so the result equals the dense matrix fold
-while only ever touching nonzero entries.  A value becomes a dense
-``LinearMap`` once, at the edge.  A relation holds exactly when its value is
+``(output tuple, coefficient)`` pairs) of integers times one denominator:
+the table holds ``den * v``, with ``den`` the lcm of the map's entry
+denominators.  A permutation gap moves the slots of a tuple with its Koszul
+sign, and a layer applies its factors side by side, factor ``j`` picking up
+``(-1)^(|f_j| * sum of the degrees of the inputs left of j)``.  These are
+the signs of :func:`linalg.tensor` and :func:`linalg.perm_action`, so the
+result equals the dense matrix fold while only ever touching nonzero
+entries, and every pushed coefficient is an ``int``.  A sum weighs each
+monomial by its coefficient over the product of its generators' ``den``,
+brought to one common denominator, and divides by it once, when the value
+becomes a dense ``LinearMap``.  A relation holds exactly when its value is
 the zero matrix; no tolerances exist anywhere.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -96,27 +101,27 @@ def structure_map(
 
 
 Basis = tuple[int, ...]
-Coef = Union[int, Fraction]
 # A step sends one basis tuple to its nonzero images.
-Step = Callable[[Basis], tuple[tuple[Basis, Coef], ...]]
+Step = Callable[[Basis], tuple[tuple[Basis, int], ...]]
+# A column table: input tuple -> its nonzero (output tuple, coefficient) pairs.
+Table = dict[Basis, tuple[tuple[Basis, int], ...]]
 # A sparse matrix: (output tuple, input tuple) -> nonzero coefficient.
-Sparse = dict[tuple[Basis, Basis], Coef]
+Sparse = dict[tuple[Basis, Basis], int]
 
 
-def _exact(v: Fraction) -> Coef:
-    """Integers as ``int``: exact, and much cheaper to multiply."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def _column_table(m: LinearMap) -> dict[Basis, tuple[tuple[Basis, Coef], ...]]:
+def _column_table(m: LinearMap) -> tuple[Table, int]:
+    """``m`` as ``(table, den)``: ``den`` is the lcm of the entries'
+    denominators and the table holds the integers ``v * den``."""
+    den = math.lcm(*(v.denominator for row in m.entries for v in row if v))
     ins = list(itertools.product(range(m.source.dim), repeat=m.source_power))
     outs = list(itertools.product(range(m.target.dim), repeat=m.target_power))
-    table: dict[Basis, list[tuple[Basis, Coef]]] = {}
+    table: dict[Basis, list[tuple[Basis, int]]] = {}
     for r, row in enumerate(m.entries):
         for c, v in enumerate(row):
             if v:
-                table.setdefault(ins[c], []).append((outs[r], _exact(v)))
-    return {col: tuple(images) for col, images in table.items()}
+                table.setdefault(ins[c], []).append(
+                    (outs[r], v.numerator * (den // v.denominator)))
+    return {col: tuple(images) for col, images in table.items()}, den
 
 
 class _Evaluator:
@@ -128,7 +133,10 @@ class _Evaluator:
 
     def __init__(self, lam: StructureMap) -> None:
         self.space = lam.space
-        self.tables = {g: _column_table(m) for g, m in lam.assignments}
+        self.tables: dict[GeneratorSymbol, Table] = {}
+        self.dens: dict[GeneratorSymbol, int] = {}
+        for g, m in lam.assignments:
+            self.tables[g], self.dens[g] = _column_table(m)
         self.degrees = lam.space.basis_degrees()
         self.graded = any(d % 2 for d in self.degrees)
 
@@ -159,7 +167,7 @@ class _Evaluator:
         degrees = self.degrees
 
         def step(tup: Basis):
-            partial: list[tuple[Basis, Coef]] = [((), 1)]
+            partial: list[tuple[Basis, int]] = [((), 1)]
             odd_left = 0
             for start, stop, table, odd in spans:
                 piece = tup[start:stop]
@@ -212,9 +220,9 @@ class _Evaluator:
             cols = itertools.product(range(d), repeat=mono.in_arity)
         out: Sparse = {}
         for col in cols:
-            vec: dict[Basis, Coef] = {col: 1}
+            vec: dict[Basis, int] = {col: 1}
             for step, memo in steps:
-                pushed: dict[Basis, Coef] = {}
+                pushed: dict[Basis, int] = {}
                 for tup, c in vec.items():
                     images = memo.get(tup)
                     if images is None:
@@ -230,29 +238,39 @@ class _Evaluator:
         return out
 
     def term(self, t: Union[LinearTerm, LayeredMonomial, Term]) -> LinearMap:
-        if not isinstance(t, LinearTerm):
-            mono = layerize(t)
-            return self._to_map(self.monomial(mono, {}), mono.biarity, homological_degree(mono))
+        """The value of a sum (a bare monomial is a one-term sum).
+
+        The tables hold ``den_g`` times each generator map, so monomial
+        ``m`` is pushed as ``prod den_g`` times its value and enters the sum
+        with the scale ``coef_m / prod den_g``.  With ``L`` the lcm of the
+        scales' denominators, the integer weights ``scale_m * L`` keep the
+        running sum on integers; ``_to_map`` divides by ``L`` once.
+        """
+        terms = t.terms if isinstance(t, LinearTerm) else ((1, layerize(t)),)
+        scales = [Fraction(coef) / math.prod(self.dens.get(g, 1) for g in mono.generators())
+                  for coef, mono in terms]
+        lcm = math.lcm(*(scale.denominator for scale in scales))
         shared: dict = {}
         total: Sparse = {}
         degree = 0
-        for coef, mono in t.terms:
+        for (_, mono), scale in zip(terms, scales):
             d = homological_degree(mono)
             value = self.monomial(mono, shared)
             if not total:
                 degree = d
             elif value and d != degree:
                 raise ShapeMismatch(f"cannot add degrees {degree} and {d}")
-            c = _exact(coef)
+            w = scale.numerator * (lcm // scale.denominator)
             for key, v in value.items():
-                s = total.get(key, 0) + c * v
+                s = total.get(key, 0) + w * v
                 if s:
                     total[key] = s
                 else:
                     del total[key]
-        return self._to_map(total, t.biarity, degree)
+        return self._to_map(total, terms[0][1].biarity, degree, lcm)
 
-    def _to_map(self, value: Sparse, biarity: tuple[int, int], degree: int) -> LinearMap:
+    def _to_map(self, value: Sparse, biarity: tuple[int, int], degree: int,
+                den: int) -> LinearMap:
         n, m = biarity
         d = self.space.dim
 
@@ -265,7 +283,7 @@ class _Evaluator:
         zero = Fraction(0)
         entries = [[zero] * d ** m for _ in range(d ** n)]
         for (row, col), v in value.items():
-            entries[index(row)][index(col)] = Fraction(v)
+            entries[index(row)][index(col)] = Fraction(v, den)
         return LinearMap(self.space, m, self.space, n, degree,
                          tuple(tuple(row) for row in entries))
 

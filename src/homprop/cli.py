@@ -14,6 +14,7 @@ the S = I precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -106,12 +107,8 @@ def _plan(args, p: Presentation, default_plan: Optional[HomPlan]):
     if spec == "multiplicative":
         return "multiplicative"
     if spec == "theta-min":
-        if not p.labels:
-            raise InputError("the presentation has no unit occurrences")
         return theta_min(p.labels)
     if spec == "theta-max":
-        if not p.labels:
-            raise InputError("the presentation has no unit occurrences")
         return theta_max(p.labels)
     return plan_from_json(_load_json(spec))
 
@@ -302,7 +299,10 @@ def cmd_graph_dump(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every call of
+    :func:`main` parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="homprop",
         description="PROP presentations, hom-ification, and twisting checks",

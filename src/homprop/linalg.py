@@ -6,11 +6,14 @@ floating point appears anywhere; equality of maps is entrywise rational
 equality.
 
 Matrices are dense.  Relation checks do not fold them: they push basis
-tuples through sparse column tables (see :mod:`homprop.algebra`) and build
-a dense ``LinearMap`` only for each relation's value.  Dense products and
-tensors remain for morphism checks, the twisting constructions and the
-exact linear algebra (rank, inverse, characteristic polynomial).  Widths
-beyond ``MAX_TENSOR_WIDTH`` are refused with a clear error.
+tuples through sparse integer column tables (see :mod:`homprop.algebra`)
+and build a dense ``LinearMap`` only for each relation's value.  Dense
+products and tensors remain for morphism checks, the twisting
+constructions and the exact linear algebra (rank, inverse, characteristic
+polynomial); :func:`compose` and :func:`tensor` list each row's nonzero
+entries once and multiply only nonzero pairs, so their cost follows the
+nonzero entries rather than the matrix sizes.  Widths beyond
+``MAX_TENSOR_WIDTH`` are refused with a clear error.
 
 Basis conventions, fixed once and relied on by every golden file:
 
@@ -140,7 +143,7 @@ class LinearMap:
         return all(v == 0 for row in self.entries for v in row)
 
     def max_abs_entry(self) -> Fraction:
-        return max((abs(v) for row in self.entries for v in row), default=Fraction(0))
+        return max((abs(v) for row in self.entries for v in row if v), default=Fraction(0))
 
     def scale(self, c: Fraction) -> "LinearMap":
         return LinearMap(
@@ -207,19 +210,27 @@ def zero_map(
     return LinearMap(source, source_power, target, target_power, degree, rows)
 
 
+def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(c, v) for c, v in enumerate(row) if v]
+
+
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Matrix product ``f . g`` (apply ``g`` first).  Degrees add."""
+    """Matrix product ``f . g`` (apply ``g`` first).  Degrees add.
+
+    Each output row sums the nonzero rows ``g[k]`` weighted by the nonzero
+    entries ``f[r][k]``; zero entries are never multiplied.
+    """
     if (f.source, f.source_power) != (g.target, g.target_power):
         raise ShapeMismatch(f"cannot compose {f} after {g}")
+    g_rows = [_nonzero(row) for row in g.entries]
+    zero = Fraction(0)
     rows = []
-    for r in range(f.rows):
-        frow = f.entries[r]
-        rows.append(
-            tuple(
-                sum((frow[k] * g.entries[k][c] for k in range(f.cols)), Fraction(0))
-                for c in range(g.cols)
-            )
-        )
+    for frow in f.entries:
+        row = [zero] * g.cols
+        for k, a in _nonzero(frow):
+            for c, b in g_rows[k]:
+                row[c] += a * b
+        rows.append(tuple(row))
     return LinearMap(g.source, g.source_power, f.target, f.target_power, f.degree + g.degree, tuple(rows))
 
 
@@ -228,6 +239,7 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
 
     The column indexed by ``x (x) y`` carries the factor ``(-1)^(|g| |x|)``
     where ``|x|`` is the degree of the source basis element fed to ``f``.
+    Only products of two nonzero entries are written into zero rows.
     """
     if f.source_power and g.source_power and f.source != g.source:
         raise ShapeMismatch("tensor of maps over different source spaces")
@@ -240,14 +252,20 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     if sp > MAX_TENSOR_WIDTH or tp > MAX_TENSOR_WIDTH:
         raise TensorWidthExceeded(f"tensor width {max(sp, tp)} exceeds cap {MAX_TENSOR_WIDTH}")
     f_src_degs = tensor_degrees(f.source, f.source_power)
+    odd = g.degree % 2
+    f_rows = [[(c, -v if odd and f_src_degs[c] % 2 else v) for c, v in _nonzero(row)]
+              for row in f.entries]
+    g_rows = [_nonzero(row) for row in g.entries]
+    width = g.cols
+    zero_row = [Fraction(0)] * (f.cols * width)
     rows = []
-    for rf in range(f.rows):
-        for rg in range(g.rows):
-            row = []
-            for cf in range(f.cols):
-                sign = -1 if (g.degree % 2 and f_src_degs[cf] % 2) else 1
-                for cg in range(g.cols):
-                    row.append(sign * f.entries[rf][cf] * g.entries[rg][cg])
+    for frow in f_rows:
+        for grow in g_rows:
+            row = list(zero_row)
+            for cf, a in frow:
+                base = cf * width
+                for cg, b in grow:
+                    row[base + cg] = a * b
             rows.append(tuple(row))
     return LinearMap(source, sp, target, tp, f.degree + g.degree, tuple(rows))
 

@@ -264,7 +264,7 @@ def iso_witness_check(
     failing direct check is an internal error.
     """
     if not is_invertible(gamma):
-        raise ValueError("gamma must be invertible")
+        raise PreconditionFailed("gamma must be invertible")
     g_check = is_morphism(gamma, lam, lam2, p)
     g_inv_check = is_morphism(inverse_map(gamma), lam2, lam, p)
     commutes = maps_equal(compose(gamma, beta), compose(beta2, gamma))

@@ -26,8 +26,14 @@ from homprop.corpus import (
     sl2_beta,
     sl2_gamma,
 )
-from homprop.linalg import compose, inverse_map
-from homprop.presentation import homify_multiplicative, homify_typed, theta_min
+from homprop.linalg import GradedSpace, compose, inverse_map
+from homprop.presentation import (
+    Presentation,
+    homify_multiplicative,
+    homify_typed,
+    theta_min,
+)
+from homprop.term import Gen, GeneratorSymbol, Signature, linear_term, vcomp
 from homprop.serialize import (
     algebra_to_json,
     dumps,
@@ -472,3 +478,62 @@ def test_every_declared_option_is_read(tmp_path):
                     if not isinstance(a, argparse._HelpAction)}
         unread = declared - args._reads
         assert not unread, f"{command} declares options it never reads: {sorted(unread)}"
+
+
+def test_singular_gamma_is_a_precondition_failure(tmp_path, capsys):
+    dual = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
+    beta = write(tmp_path, "beta.json", endomorphism_to_json(dual_numbers_beta(1)))
+    gamma = write(tmp_path, "gamma.json", endomorphism_to_json(
+        make_map(dual_numbers().space, dual_numbers().space, [[1, 0], [0, 0]])))
+    assert main(["iso-check", "--builtin", "as", "--algebra", dual, "--beta", beta,
+                 "--gamma", gamma]) == 2
+    assert capsys.readouterr().err == "precondition failed: gamma must be invertible\n"
+
+
+def _no_units(tmp_path) -> dict:
+    """Files for ``f.f - f.f.f``, a presentation without unit occurrences,
+    and the idempotent line ``f = 1`` that satisfies it."""
+    f = GeneratorSymbol("f", 1, 1)
+    p = Presentation(Signature((f,)), (
+        linear_term([(1, vcomp(Gen(f), Gen(f))), (-1, vcomp(Gen(f), Gen(f), Gen(f)))]),))
+    line = GradedSpace.ungraded(1)
+    one = make_map(line, line, [[1]])
+    return {
+        "presentation": write(tmp_path, "p.json", presentation_to_json(p)),
+        "algebra": write(tmp_path, "a.json", algebra_to_json(structure_map(line, {f: one}))),
+        "one": write(tmp_path, "one.json", endomorphism_to_json(one)),
+    }
+
+
+@pytest.mark.parametrize("plan", ["theta-min", "theta-max", None])
+def test_no_unit_occurrences_is_a_precondition_failure(tmp_path, capsys, plan):
+    files = _no_units(tmp_path)
+    plan_args = ["--plan", plan] if plan else []
+    argv = ["iso-check", "--presentation", files["presentation"], *plan_args,
+            "--algebra", files["algebra"], "--beta", files["one"], "--gamma", files["one"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "precondition failed: S must be non-empty\n"
+    argv = ["homify", "--presentation", files["presentation"], *plan_args]
+    if plan:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "precondition failed: S must be non-empty\n"
+    else:  # the multiplicative hom-ification needs no unit occurrences
+        assert main(argv) == 0
+
+
+def test_in_process_calls_do_not_share_options(tmp_path, capsys):
+    dual = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
+    out = tmp_path / "first.json"
+    assert main(["check", "--builtin", "as", "--algebra", dual, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["check", "--builtin", "as", "--algebra", dual]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+    mult = write(tmp_path, "mult.json", algebra_to_json(
+        hom_dual_structure(homify_multiplicative(associativity()))))
+    assert main(["derived", "--builtin", "as", "--algebra", mult, "--n", "3"]) == 0
+    third = capsys.readouterr().out
+    assert main(["derived", "--builtin", "as", "--algebra", mult]) == 0
+    first = capsys.readouterr().out
+    assert main(["derived", "--builtin", "as", "--algebra", mult, "--n", "1"]) == 0
+    assert capsys.readouterr().out == first != third

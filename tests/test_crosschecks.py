@@ -15,6 +15,7 @@ from homprop.linalg import (
     perm_action,
     tensor as tensor_map,
     tensor_degrees,
+    zero_map,
 )
 from homprop.perm import Permutation
 from homprop.presentation import HomPlan, homify_typed
@@ -122,6 +123,53 @@ def test_sparse_evaluation_matches_graded_dense_fold():
             permuted += 1
     # The sample must exercise the graded signs and the permutation gaps.
     assert compared >= 100 and odd_nonzero >= 30 and permuted >= 30, (compared, odd_nonzero, permuted)
+
+
+def random_rational(rng, g, den):
+    """A random matrix for ``g`` that respects its degree, with entries
+    over the denominators 1 and ``den``."""
+    src = tensor_degrees(SPACE, g.in_arity)
+    tgt = tensor_degrees(SPACE, g.out_arity)
+    rows = [[Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, den)))
+             if t == s + g.degree and rng.random() < 0.7 else 0 for s in src] for t in tgt]
+    return make_map(SPACE, SPACE, rows, source_power=g.in_arity,
+                    target_power=g.out_arity, degree=g.degree)
+
+
+def test_sparse_evaluation_scales_rational_tables():
+    """Rational generator maps, one denominator per generator, against the
+    dense fold: sums with coefficients 1/2 and -2/3, and sums that cancel."""
+    rng = random.Random(202)
+    dens = {MU: 2, NU: 3, DELTA: 4, ETA: 1}  # POINT is the zero map
+    compared = rational = nonzero = 0
+    for _ in range(300):
+        maps = {g: random_rational(rng, g, den) for g, den in dens.items()}
+        maps[POINT] = zero_map(SPACE, 0, SPACE, 1, degree=POINT.degree)
+        lam = structure_map(SPACE, maps)
+        mono = layerize(random_monomial(rng))
+        if max([mono.top.width] + [layer.below.width for layer in mono.layers]) > 4:
+            continue
+        expected = dense_fold(lam, mono)
+        value = eval_term(lam, mono)
+        assert value.degree == expected.degree
+        assert maps_equal(value, expected)
+        twin = layerize(VComp(PermLeaf(random_permutation(rng, mono.out_arity)), mono))
+        rel = linear_term([(Fraction(1, 2), mono), (Fraction(-2, 3), twin)])
+        dense_sum = expected.scale(Fraction(1, 2)).add(
+            dense_fold(lam, twin).scale(Fraction(-2, 3)))
+        assert maps_equal(eval_term(lam, rel), dense_sum)
+        # -2/3 of the twin plus (1/2 + 1/6) of a copy of it cancels exactly.
+        ident = Permutation(tuple(range(1, mono.out_arity + 1)))
+        copy = layerize(VComp(PermLeaf(ident), twin))
+        zero = eval_term(lam, linear_term([(Fraction(-2, 3), twin), (Fraction(1, 2), copy),
+                                           (Fraction(1, 6), copy)]))
+        assert zero.is_zero() and zero.degree == expected.degree
+        compared += 1
+        if any(v.denominator > 1 for row in value.entries for v in row):
+            rational += 1
+        if not expected.is_zero():
+            nonzero += 1
+    assert compared >= 200 and rational >= 25 and nonzero >= 40, (compared, rational, nonzero)
 
 
 def test_graph_dump_golden():

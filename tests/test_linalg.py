@@ -234,3 +234,65 @@ def test_interchange_law_strict_for_even_maps():
         lhs = tensor(compose(a, c), compose(b, d))
         rhs = compose(tensor(a, b), tensor(c, d))
         assert maps_equal(lhs, rhs)
+
+
+def sparse_homogeneous_map(rng, space, src_pow, tgt_pow, degree):
+    """A random homogeneous map with many zero entries; every other map
+    has one row and one column forced to zero."""
+    src = tensor_degrees(space, src_pow)
+    tgt = tensor_degrees(space, tgt_pow)
+    zero_r, zero_c = -1, -1
+    if rng.random() < 0.5:
+        zero_r, zero_c = rng.randrange(len(tgt)), rng.randrange(len(src))
+    rows = [
+        [
+            Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+            if tgt[r] == src[c] + degree and r != zero_r and c != zero_c
+            and rng.random() < 0.6
+            else Fraction(0)
+            for c in range(len(src))
+        ]
+        for r in range(len(tgt))
+    ]
+    return make_map(space, space, rows, source_power=src_pow, target_power=tgt_pow,
+                    degree=degree)
+
+
+def naive_compose(f, g):
+    return [[sum((f.entries[r][k] * g.entries[k][c] for k in range(f.cols)), Fraction(0))
+             for c in range(g.cols)] for r in range(f.rows)]
+
+
+def naive_tensor(f, g):
+    """Row ``(rf, rg)``, column ``(cf, cg)``: ``(-1)^(|g| |cf|) f[rf][cf] g[rg][cg]``."""
+    degs = tensor_degrees(f.source, f.source_power)
+    return [[(-1 if g.degree * degs[cf] % 2 else 1) * f.entries[rf][cf] * g.entries[rg][cg]
+             for cf in range(f.cols) for cg in range(g.cols)]
+            for rf in range(f.rows) for rg in range(g.rows)]
+
+
+def test_compose_and_tensor_match_naive_formulas_sparse_graded():
+    rng = random.Random(505)
+    space = GradedSpace.from_dims({-1: 1, 0: 1, 1: 1})
+    signed = 0  # tensors with a nonzero product that the Koszul sign flips
+    for _ in range(300):
+        k, m, n = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        f = sparse_homogeneous_map(rng, space, k, n, a)
+        g = sparse_homogeneous_map(rng, space, m, k, b)
+        product = compose(f, g)
+        assert product.degree == a + b
+        assert [list(row) for row in product.entries] == naive_compose(f, g)
+
+        h = sparse_homogeneous_map(rng, space, rng.randint(0, 1), rng.randint(0, 1), b)
+        kron = tensor(f, h)
+        assert (kron.source_power, kron.target_power, kron.degree) == (
+            k + h.source_power, n + h.target_power, a + b)
+        assert [list(row) for row in kron.entries] == naive_tensor(f, h)
+        for out in (product, kron):
+            assert all(type(v) is Fraction for row in out.entries for v in row)
+        degs = tensor_degrees(space, k)
+        if b % 2 and not h.is_zero() and any(
+                v and degs[c] % 2 for row in f.entries for c, v in enumerate(row)):
+            signed += 1
+    assert signed >= 10, signed
