@@ -5,15 +5,15 @@ graded space, morphisms are dense matrices of ``fractions.Fraction``.  No
 floating point appears anywhere; equality of maps is entrywise rational
 equality.
 
-Matrices are dense.  Relation checks do not fold them: they push basis
-tuples through sparse integer column tables (see :mod:`homprop.algebra`)
-and build a dense ``LinearMap`` only for each relation's value.  Dense
-products and tensors remain for morphism checks, the twisting
-constructions and the exact linear algebra (rank, inverse, characteristic
-polynomial); :func:`compose` and :func:`tensor` list each row's nonzero
-entries once and multiply only nonzero pairs, so their cost follows the
-nonzero entries rather than the matrix sizes.  Widths beyond
-``MAX_TENSOR_WIDTH`` are refused with a clear error.
+Matrices are dense.  Relation checks neither fold nor build them: they
+push basis tuples through sparse integer column tables and read each
+verdict off the sparse sum (see :mod:`homprop.algebra`).  Dense products
+and tensors remain for morphism checks, the twisting constructions and the
+exact linear algebra (rank, inverse, characteristic polynomial);
+:func:`compose` and :func:`tensor` list each row's nonzero entries once and
+multiply only nonzero pairs, so their cost follows the nonzero entries
+rather than the matrix sizes.  Widths beyond ``MAX_TENSOR_WIDTH`` are
+refused with a clear error.
 
 Basis conventions, fixed once and relied on by every golden file:
 
@@ -142,9 +142,6 @@ class LinearMap:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
 
-    def max_abs_entry(self) -> Fraction:
-        return max((abs(v) for row in self.entries for v in row if v), default=Fraction(0))
-
     def scale(self, c: Fraction) -> "LinearMap":
         return LinearMap(
             self.source, self.source_power, self.target, self.target_power, self.degree,
@@ -270,18 +267,14 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(source, sp, target, tp, f.degree + g.degree, tuple(rows))
 
 
-def tensor_many(maps: Sequence[LinearMap]) -> LinearMap:
-    out = maps[0]
-    for m in maps[1:]:
-        out = tensor(out, m)
-    return out
-
-
 def tensor_power(f: LinearMap, k: int) -> LinearMap:
     if k == 0:
         # The empty tensor: the unique map on the 0-th tensor power.
         return LinearMap(f.source, 0, f.target, 0, 0, ((Fraction(1),),))
-    return tensor_many([f] * k)
+    out = f
+    for _ in range(k - 1):
+        out = tensor(out, f)
+    return out
 
 
 def perm_action(p: Permutation, space: GradedSpace) -> LinearMap:
@@ -345,17 +338,12 @@ def inverse_map(f: LinearMap) -> LinearMap:
     n = f.rows
     aug = [list(row) + [Fraction(1) if r == c else Fraction(0) for c in range(n)]
            for r, row in enumerate(f.entries)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("map is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    _echelon(aug)
+    # [A | I] has rank n; A is invertible exactly when every pivot lies in
+    # the left block.  Otherwise row rank(A) pivots on the right and has a 0
+    # on the diagonal.
+    if any(aug[r][r] == 0 for r in range(n)):
+        raise ValueError("map is singular")
     entries = tuple(tuple(aug[r][n:]) for r in range(n))
     return LinearMap(f.target, f.target_power, f.source, f.source_power, -f.degree, entries)
 

@@ -147,9 +147,6 @@ class GradedTuple:
     def __len__(self) -> int:
         return len(self.degrees)
 
-    def permute(self, p: Permutation) -> "GradedTuple":
-        return GradedTuple(p.apply(self.degrees))
-
 
 def koszul_sign(p: Permutation, degs: GradedTuple | Sequence[int]) -> int:
     """Sign picked up when graded slots move past each other under ``p``.

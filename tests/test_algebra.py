@@ -75,8 +75,9 @@ def test_check_algebra_dual_numbers():
     lam = dual_numbers()
     report = check_algebra(lam, associativity())
     assert report.all_passed()
-    value = report.checks[0].value
+    value = eval_term(lam, associativity().relations[0])
     assert (value.rows, value.cols) == (2, 8)
+    assert value.is_zero()
 
 
 def corrupted_product(a, b):

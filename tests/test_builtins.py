@@ -15,7 +15,7 @@ from homprop.builtins import (
     subgroup_elements,
     ybe,
 )
-from homprop.linalg import GradedSpace, make_map, zero_map
+from homprop.linalg import GradedSpace, LinearMap, make_map, zero_map
 from homprop.perm import sign
 from homprop.presentation import homify_typed, is_normal
 
@@ -198,10 +198,12 @@ def test_exterior_dga_passes_n4():
     assert check_algebra(exterior_dga(4), p).all_passed()
 
 
-def test_sl2_as_l_infinity_passes_n4():
+def sl2_as_l_infinity(n):
+    """l_infinity(n) with sl2's bracket on the binary generator and zero maps
+    on the others."""
     from homprop.corpus import SL2_SPACE, sl2
 
-    p, _ = l_infinity(4)
+    p, _ = l_infinity(n)
     bracket = sl2()[as_g(SubgroupTag.A3).signature["mu"]]
     maps = {}
     for g in p.signature.generators:
@@ -209,25 +211,35 @@ def test_sl2_as_l_infinity_passes_n4():
             maps[g] = bracket
         else:
             maps[g] = zero_map(SL2_SPACE, g.in_arity, SL2_SPACE, 1, degree=g.degree)
-    lam = structure_map(SL2_SPACE, maps)
+    return p, structure_map(SL2_SPACE, maps)
+
+
+def test_sl2_as_l_infinity_passes_n4():
+    p, lam = sl2_as_l_infinity(4)
     assert check_algebra(lam, p).all_passed()
 
 
 def test_sl2_as_l_infinity_passes_n5():
-    from homprop.corpus import SL2_SPACE, sl2
-
-    p, _ = l_infinity(5)
-    bracket = sl2()[as_g(SubgroupTag.A3).signature["mu"]]
-    maps = {}
-    for g in p.signature.generators:
-        if g.in_arity == 2:
-            maps[g] = bracket
-        else:
-            maps[g] = zero_map(SL2_SPACE, g.in_arity, SL2_SPACE, 1, degree=g.degree)
-    lam = structure_map(SL2_SPACE, maps)
+    p, lam = sl2_as_l_infinity(5)
     report = check_algebra(lam, p)
     assert len(report.checks) == 153
     assert report.all_passed()
+
+
+def test_sl2_as_l_infinity_passes_n6(monkeypatch):
+    p, lam = sl2_as_l_infinity(6)
+    built = []
+    validate = LinearMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(LinearMap, "__post_init__", counting)
+    report = check_algebra(lam, p)
+    assert len(report.checks) == 873
+    assert report.all_passed()
+    assert len(built) == 0  # verdicts come off the sparse sums, not dense maps
 
 
 def test_odd_heisenberg_passes_n4():

@@ -3,7 +3,7 @@ import functools
 import random
 from fractions import Fraction
 
-from homprop.algebra import eval_term, structure_map
+from homprop.algebra import check_algebra, eval_term, structure_map
 from homprop.builtins import AsVariant, as_variant, bialgebra
 from homprop.graphprop import term_to_graph
 from homprop.linalg import (
@@ -18,12 +18,13 @@ from homprop.linalg import (
     zero_map,
 )
 from homprop.perm import Permutation
-from homprop.presentation import HomPlan, homify_typed
+from homprop.presentation import HomPlan, Presentation, homify_typed
 from homprop.serialize import space_from_json, space_to_json
 from homprop.term import (
     Gen,
     GeneratorSymbol,
     PermLeaf,
+    Signature,
     UnitLeaf,
     UnitFactor,
     VComp,
@@ -138,10 +139,12 @@ def random_rational(rng, g, den):
 
 def test_sparse_evaluation_scales_rational_tables():
     """Rational generator maps, one denominator per generator, against the
-    dense fold: sums with coefficients 1/2 and -2/3, and sums that cancel."""
+    dense fold: sums with coefficients 1/2 and -2/3, and sums that cancel.
+    The relation check reads the same verdict and largest entry off the
+    sparse sum."""
     rng = random.Random(202)
     dens = {MU: 2, NU: 3, DELTA: 4, ETA: 1}  # POINT is the zero map
-    compared = rational = nonzero = 0
+    compared = rational = nonzero = rational_max = 0
     for _ in range(300):
         maps = {g: random_rational(rng, g, den) for g, den in dens.items()}
         maps[POINT] = zero_map(SPACE, 0, SPACE, 1, degree=POINT.degree)
@@ -161,15 +164,24 @@ def test_sparse_evaluation_scales_rational_tables():
         # -2/3 of the twin plus (1/2 + 1/6) of a copy of it cancels exactly.
         ident = Permutation(tuple(range(1, mono.out_arity + 1)))
         copy = layerize(VComp(PermLeaf(ident), twin))
-        zero = eval_term(lam, linear_term([(Fraction(-2, 3), twin), (Fraction(1, 2), copy),
-                                           (Fraction(1, 6), copy)]))
+        cancelling = linear_term([(Fraction(-2, 3), twin), (Fraction(1, 2), copy),
+                                  (Fraction(1, 6), copy)])
+        zero = eval_term(lam, cancelling)
         assert zero.is_zero() and zero.degree == expected.degree
+        checks = check_algebra(lam, Presentation(Signature(tuple(maps)), (rel, cancelling))).checks
+        largest = max((abs(v) for row in dense_sum.entries for v in row), default=Fraction(0))
+        assert checks[0].passed == dense_sum.is_zero()
+        assert checks[0].max_abs_entry == largest
+        assert checks[1].passed and checks[1].max_abs_entry == Fraction(0)
+        if largest.denominator > 1:
+            rational_max += 1
         compared += 1
         if any(v.denominator > 1 for row in value.entries for v in row):
             rational += 1
         if not expected.is_zero():
             nonzero += 1
     assert compared >= 200 and rational >= 25 and nonzero >= 40, (compared, rational, nonzero)
+    assert rational_max >= 25, rational_max
 
 
 def test_graph_dump_golden():
