@@ -189,7 +189,8 @@ class _Evaluator:
 
     def monomial(self, mono: LayeredMonomial, shared: dict) -> Sparse:
         """The monomial's matrix, one input column at a time.  ``shared``
-        holds the steps already built for the current relation.
+        holds the steps and the bottom-gap inverses already built for the
+        current relation.
 
         Only the columns that the bottom layer does not send to zero are
         pushed: the products of its factors' nonzero columns, moved back
@@ -216,7 +217,9 @@ class _Evaluator:
             unit = [(i,) for i in range(d)]
             supports = [unit if isinstance(f, UnitFactor) else self.tables[f]
                         for f in bottom.factors]
-            back = bottom.below.perm.inverse()
+            back = shared.get(("inverse", bottom.below.perm))
+            if back is None:
+                back = shared[("inverse", bottom.below.perm)] = bottom.below.perm.inverse()
             cols = (back.apply(sum(pieces, ())) for pieces in itertools.product(*supports))
         else:
             cols = itertools.product(range(d), repeat=mono.in_arity)

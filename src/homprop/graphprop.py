@@ -9,11 +9,14 @@ parallel strands and no vertices is ``exceptional(n)``.
 
 Horizontal composition is disjoint union, vertical composition grafting;
 the unit and all permutations become bare strands, so interchange-equival-
-ent terms lower to isomorphic graphs.  Because every port is labelled, the
-graphs are rigid: one walk from the boundary numbers the vertices
-canonically (``canonical_order``), and two graphs are isomorphic exactly
-when their ``canonical_key``s are equal.  A component without boundary
-ports cannot be reached by that walk and is refused with ValueError.
+ent terms lower to isomorphic graphs.  ``term_to_graph`` lowers a monomial
+in one walk over its layers to the graph that grafting its rows would
+build, and validates it once; ``graft`` and ``disjoint_union`` remain as
+operations on graphs.  Because every port is labelled, the graphs are
+rigid: one walk from the boundary numbers the vertices canonically
+(``canonical_order``), and two graphs are isomorphic exactly when their
+``canonical_key``s are equal.  A component without boundary ports cannot
+be reached by that walk and is refused with ValueError.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from typing import Optional
 
 from .term import (
     GeneratorSymbol,
-    Layer,
     LayeredMonomial,
     UnitFactor,
     layerize,
@@ -68,25 +70,25 @@ class DecoratedGraph:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        succ: dict[int, set[int]] = {v: set() for v in range(len(self.decorations))}
+        """Kahn's algorithm: peel off vertices with no incoming edge."""
+        n = len(self.decorations)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indegree = [0] * n
         for (a, b) in self.edges:
             if a[0] == "vo" and b[0] == "vi":
-                succ[a[1]].add(b[1])
-        seen: dict[int, int] = {}  # 0 = visiting, 1 = done
-
-        def visit(v: int) -> None:
-            state = seen.get(v)
-            if state == 1:
-                return
-            if state == 0:
-                raise ValueError("directed cycle created")
-            seen[v] = 0
+                succ[a[1]].append(b[1])
+                indegree[b[1]] += 1
+        ready = [v for v in range(n) if indegree[v] == 0]
+        peeled = 0
+        while ready:
+            v = ready.pop()
+            peeled += 1
             for w in succ[v]:
-                visit(w)
-            seen[v] = 1
-
-        for v in succ:
-            visit(v)
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    ready.append(w)
+        if peeled != n:
+            raise ValueError("directed cycle created")
 
     def dump(self) -> str:
         """Deterministic text form for golden-file comparisons."""
@@ -168,23 +170,39 @@ def graft(upper: DecoratedGraph, lower: DecoratedGraph) -> DecoratedGraph:
 
 def term_to_graph(m: Term | LayeredMonomial) -> DecoratedGraph:
     """Lower a monomial to its decorated graph; permutations and units leave
-    no vertices."""
+    no vertices.
+
+    One walk over the layers from the top down keeps, for each open wire,
+    the terminal endpoint above it.  A generator's output ports take edges
+    to the endpoints of its wires and its input ports become the new
+    endpoints; a unit passes its endpoint straight down, and a gap permutes
+    the endpoints.  Vertices are numbered bottom layer first, left to right
+    within a layer, the order in which grafting the rows would number them.
+    """
     mono = layerize(m)
-    g = permutation_graph(mono.top.perm.images)
-    for layer in mono.layers:
-        row = _layer_graph(layer)
-        g = graft(g, row)
-        g = graft(g, permutation_graph(layer.below.perm.images))
-    return g
-
-
-def _layer_graph(layer: Layer) -> DecoratedGraph:
-    g: Optional[DecoratedGraph] = None
-    for f in layer.factors:
-        piece = exceptional(1) if isinstance(f, UnitFactor) else corolla(f)
-        g = piece if g is None else disjoint_union(g, piece)
-    assert g is not None
-    return g
+    rows = [[f for f in layer.factors if isinstance(f, GeneratorSymbol)]
+            for layer in mono.layers]
+    first = sum(map(len, rows))
+    ends: list[Endpoint] = [("out", j) for j in mono.top.perm.images]
+    edges: list[tuple[Endpoint, Endpoint]] = []
+    for layer, row in zip(mono.layers, rows):
+        first -= len(row)
+        v, w = first, 0
+        inputs: list[Endpoint] = []
+        for f in layer.factors:
+            if isinstance(f, UnitFactor):
+                inputs.append(ends[w])
+                w += 1
+                continue
+            for p in range(1, f.out_arity + 1):
+                edges.append((("vo", v, p), ends[w]))
+                w += 1
+            inputs.extend(("vi", v, q) for q in range(1, f.in_arity + 1))
+            v += 1
+        ends = [inputs[i - 1] for i in layer.below.perm.images]
+    edges.extend((("in", i), e) for i, e in enumerate(ends, start=1))
+    decorations = tuple(g for row in reversed(rows) for g in row)
+    return DecoratedGraph(mono.out_arity, mono.in_arity, decorations, frozenset(edges))
 
 
 def canonical_order(g: DecoratedGraph) -> tuple[int, ...]:

@@ -172,7 +172,7 @@ class LinearMap:
 
 
 def _as_fraction_rows(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+    return tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
 
 
 def make_map(

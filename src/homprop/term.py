@@ -328,14 +328,23 @@ def _merge_gaps(upper: Interlayer, lower: Interlayer) -> Interlayer:
     return Interlayer(perm, tuple(sorted(carried | set(lower.marks))))
 
 
-def _vcomp_chains(a: LayeredMonomial, b: LayeredMonomial) -> LayeredMonomial:
-    if a.in_arity != b.out_arity:
-        raise VCompArityMismatch(a.in_arity, b.out_arity)
-    if not a.layers:
-        return LayeredMonomial(_merge_gaps(a.top, b.top), b.layers)
-    last = a.layers[-1]
-    merged = Layer(last.factors, _merge_gaps(last.below, b.top))
-    return LayeredMonomial(a.top, a.layers[:-1] + (merged,) + b.layers)
+def _vcomp_chains(chains: Sequence[LayeredMonomial]) -> LayeredMonomial:
+    """Stack chains, top first: their layers in order, each chain's top gap
+    fused into the gap above it.  Fusing gaps is associative, so this is
+    the nested binary composition; like it, a mismatch is reported at the
+    lowest junction first."""
+    for a, b in reversed(list(zip(chains, chains[1:]))):
+        if a.in_arity != b.out_arity:
+            raise VCompArityMismatch(a.in_arity, b.out_arity)
+    top, layers = chains[0].top, list(chains[0].layers)
+    for c in chains[1:]:
+        if layers:
+            last = layers[-1]
+            layers[-1] = Layer(last.factors, _merge_gaps(last.below, c.top))
+        else:
+            top = _merge_gaps(top, c.top)
+        layers.extend(c.layers)
+    return LayeredMonomial(top, tuple(layers))
 
 
 def _join_gaps(left: Interlayer, right: Interlayer) -> Interlayer:
@@ -372,8 +381,7 @@ def _tensor_chains(a: LayeredMonomial, b: LayeredMonomial) -> LayeredMonomial:
     return LayeredMonomial(top, layers)
 
 
-def layerize(t: Term | LayeredMonomial) -> LayeredMonomial:
-    """Canonical layered form of a monomial; idempotent on layered input."""
+def _leaf_chain(t: Term | LayeredMonomial) -> LayeredMonomial:
     if isinstance(t, LayeredMonomial):
         return t
     if isinstance(t, Gen):
@@ -382,11 +390,32 @@ def layerize(t: Term | LayeredMonomial) -> LayeredMonomial:
         return _chain_unit()
     if isinstance(t, PermLeaf):
         return _chain_perm(t.perm)
-    if isinstance(t, Tensor):
-        return _tensor_chains(layerize(t.left), layerize(t.right))
-    if isinstance(t, VComp):
-        return _vcomp_chains(layerize(t.upper), layerize(t.lower))
     raise TypeError(f"not a term: {t!r}")
+
+
+def layerize(t: Term | LayeredMonomial) -> LayeredMonomial:
+    """Canonical layered form of a monomial; idempotent on layered input.
+
+    ``tensor`` and ``vcomp`` nest to the right, so the right spine of a
+    chain is walked with a list rather than by recursion: the left parts
+    are layerized top-down, then the chain is folded back from the bottom,
+    in the order a recursive walk would take.  A run of vertical
+    compositions on the spine is stacked in one step.
+    """
+    # (True, [left part]) for a tensor, (False, [upper parts]) for a run of vcomps
+    spine: list[tuple[bool, list[LayeredMonomial]]] = []
+    while isinstance(t, (Tensor, VComp)):
+        is_tensor = isinstance(t, Tensor)
+        part = layerize(t.left if is_tensor else t.upper)
+        if is_tensor or not spine or spine[-1][0]:
+            spine.append((is_tensor, [part]))
+        else:
+            spine[-1][1].append(part)
+        t = t.right if is_tensor else t.lower
+    out = _leaf_chain(t)
+    for is_tensor, parts in reversed(spine):
+        out = _tensor_chains(parts[0], out) if is_tensor else _vcomp_chains(parts + [out])
+    return out
 
 
 # ---------------------------------------------------------------------------

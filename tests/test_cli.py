@@ -250,6 +250,23 @@ def test_graph_dump_deterministic(tmp_path):
     assert "relation 2 monomial 1" in out1.read_text()
 
 
+def test_deep_monomial_has_no_recursion_limit(tmp_path, capsys):
+    # 1,500 rows is deeper than the default recursion limit of 1,000.
+    rows = [{"gen": "f"}] * 1500
+    pres = write(tmp_path, "deep.json", {
+        "generators": [{"name": "f", "out": 1, "in": 1}],
+        "relations": [[{"coef": "1", "monomial": {"vcomp": rows}}]],
+    })
+    dump = tmp_path / "dump.txt"
+    assert main(["graph-dump", "--presentation", pres, "--out", str(dump)]) == 0
+    text = dump.read_text()
+    assert "v1499: f (1,1)" in text and "v1500" not in text
+    assert main(["normality", "--presentation", pres]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["relations"][0]["degree"] == 1500
+    assert err == ""
+
+
 def test_report_determinism_byte_identical(tmp_path):
     algebra = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
     _, _ = run(["check", "--builtin", "as", "--algebra", algebra], tmp_path, "r1.json")

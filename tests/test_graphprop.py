@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from homprop.builtins import builtin
 from homprop.graphprop import (
     DecoratedGraph,
     GraftMismatch,
@@ -16,7 +17,27 @@ from homprop.graphprop import (
     term_to_graph,
 )
 from homprop.perm import Permutation, transposition
-from homprop.term import Gen, GeneratorSymbol, PermLeaf, Tensor, UnitLeaf, VComp, vcomp
+from homprop.presentation import (
+    apply_substitution_to_relations,
+    homify_multiplicative,
+    homify_typed,
+    projection_pi,
+    theta_max,
+)
+from homprop.term import (
+    UNIT,
+    Gen,
+    GeneratorSymbol,
+    Interlayer,
+    Layer,
+    LayeredMonomial,
+    PermLeaf,
+    Tensor,
+    UnitFactor,
+    UnitLeaf,
+    VComp,
+    vcomp,
+)
 
 MU = GeneratorSymbol("mu", 1, 2)
 DELTA = GeneratorSymbol("delta", 2, 1)
@@ -111,6 +132,67 @@ def test_term_to_graph_compatibility_monomial():
     assert len(g.decorations) == 4
     # the crossing: output 2 of the first delta feeds the second mu
     assert brute_force_isomorphic(g, g)
+
+
+def graft_chain(mono: LayeredMonomial) -> DecoratedGraph:
+    """Reference lowering: one graph per row and per gap, grafted from the
+    top down."""
+    g = permutation_graph(mono.top.perm.images)
+    for layer in mono.layers:
+        row = exceptional(0)
+        for f in layer.factors:
+            row = disjoint_union(row, exceptional(1) if isinstance(f, UnitFactor) else corolla(f))
+        g = graft(graft(g, row), permutation_graph(layer.below.perm.images))
+    return g
+
+
+WALK_GENS = [MU, DELTA, ALPHA, GeneratorSymbol("braiding", 2, 2),
+             GeneratorSymbol("z", 0, 0), GeneratorSymbol("eps", 0, 1),
+             GeneratorSymbol("eta", 1, 0), GeneratorSymbol("d", 1, 1, 1),
+             GeneratorSymbol("m3", 1, 3, -1)]
+
+
+def random_gap(rng: random.Random, width: int) -> Interlayer:
+    images = list(range(1, width + 1))
+    rng.shuffle(images)
+    marks = tuple(s for s in range(1, width + 1) if rng.random() < 0.2)
+    return Interlayer(Permutation(tuple(images)), marks)
+
+
+def random_monomial(rng: random.Random) -> LayeredMonomial:
+    """A layered monomial of 0..4 layers: units, zero-arity and odd-degree
+    generators, random permutation gaps and marks."""
+    width = rng.randint(0, 3)
+    top = random_gap(rng, width)
+    layers = []
+    for _ in range(rng.randint(0, 4)):
+        factors = []
+        left = width
+        while left > 0 or not factors or rng.random() < 0.15:
+            pool = [UNIT] * (left > 0) + [g for g in WALK_GENS if g.out_arity <= left]
+            f = rng.choice(pool)
+            factors.append(f)
+            left -= 1 if f is UNIT else f.out_arity
+        rng.shuffle(factors)
+        width = sum(1 if f is UNIT else f.in_arity for f in factors)
+        layers.append(Layer(tuple(factors), random_gap(rng, width)))
+    return LayeredMonomial(top, tuple(layers))
+
+
+def test_term_to_graph_matches_graft_chain():
+    rng = random.Random(77)
+    monomials = [random_monomial(rng) for _ in range(600)]
+    assert any(not m.layers for m in monomials)
+    for name in ("linf:5", "ainf:7", "nambu:4", "bialgebra", "ybe"):
+        p, _ = builtin(name)
+        q = homify_typed(p, theta_max(p.labels))
+        back = apply_substitution_to_relations(q.relations, projection_pi(q, "pi"))
+        for rels in (p.relations, q.relations, homify_multiplicative(p).relations, back):
+            monomials.extend(mono for rel in rels for _, mono in rel.terms)
+    for mono in monomials:
+        got, want = term_to_graph(mono), graft_chain(mono)
+        assert got == want
+        assert got.dump() == want.dump()
 
 
 def test_isomorphic_reflexive_and_rebuilt():

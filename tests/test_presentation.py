@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homprop import presentation
 from homprop.builtins import (
     AsVariant,
     SubgroupTag,
@@ -15,6 +16,7 @@ from homprop.builtins import (
     nambu,
     ybe,
 )
+from homprop.graphprop import DecoratedGraph
 from homprop.presentation import (
     HomPlan,
     NameCollision,
@@ -320,6 +322,30 @@ def test_presentation_matches_counts_multiplicity():
     doubled = Presentation(p.signature, (first, first, *rest))
     assert not presentation_matches(doubled, p)
     assert not presentation_matches(p, doubled)
+
+
+def test_linf5_round_trip_builds_one_graph_per_monomial(monkeypatch):
+    p, _ = builtin("linf:5")
+    q = homify_typed(p, theta_max(p.labels))
+    back = Presentation(p.signature, apply_substitution_to_relations(
+        q.relations, projection_pi(q, "pi")))
+    built, lowered = [], []
+    validate = DecoratedGraph.__post_init__
+    lower = presentation.term_to_graph
+
+    def counting_validate(self):
+        built.append(self)
+        validate(self)
+
+    def counting_lower(mono):
+        lowered.append(mono)
+        return lower(mono)
+
+    monkeypatch.setattr(DecoratedGraph, "__post_init__", counting_validate)
+    monkeypatch.setattr(presentation, "term_to_graph", counting_lower)
+    assert presentation_matches(back, p)
+    assert len(lowered) > 0
+    assert len(built) == len(lowered)  # no intermediate graphs
 
 
 def test_unit_index_recomputed_on_homified():
