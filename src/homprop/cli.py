@@ -73,6 +73,8 @@ def _load_json(path: str) -> Any:
         raise InputError(f"no such file: {path}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
+    except RecursionError as e:
+        raise InputError(f"{path}: JSON nested too deeply") from e
 
 
 def _emit(report: Any, out: Optional[str]) -> None:

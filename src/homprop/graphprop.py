@@ -9,14 +9,18 @@ parallel strands and no vertices is ``exceptional(n)``.
 
 Horizontal composition is disjoint union, vertical composition grafting;
 the unit and all permutations become bare strands, so interchange-equival-
-ent terms lower to isomorphic graphs.  ``term_to_graph`` lowers a monomial
-in one walk over its layers to the graph that grafting its rows would
-build, and validates it once; ``graft`` and ``disjoint_union`` remain as
-operations on graphs.  Because every port is labelled, the graphs are
-rigid: one walk from the boundary numbers the vertices canonically
+ent terms lower to isomorphic graphs.  One walk over the layers of a
+monomial (``_walk``) gives the vertices and edges that grafting its rows
+would build; ``term_to_graph`` wraps them in a validated graph, and
+``graft`` and ``disjoint_union`` remain as operations on graphs.  Because
+every port is labelled, the graphs are rigid: one breadth-first walk from
+the boundary (``_numbering``) numbers the vertices canonically
 (``canonical_order``), and two graphs are isomorphic exactly when their
-``canonical_key``s are equal.  A component without boundary ports cannot
-be reached by that walk and is refused with ValueError.
+``canonical_key``s are equal.  ``monomial_key`` numbers the layer walk's
+output directly, with no graph built: a monomial's widths meet and its
+layers admit no cycle, so there is nothing to validate.  A component
+without boundary ports cannot be reached by the numbering walk and is
+refused with ValueError.
 """
 from __future__ import annotations
 
@@ -168,9 +172,8 @@ def graft(upper: DecoratedGraph, lower: DecoratedGraph) -> DecoratedGraph:
     )
 
 
-def term_to_graph(m: Term | LayeredMonomial) -> DecoratedGraph:
-    """Lower a monomial to its decorated graph; permutations and units leave
-    no vertices.
+def _walk(m: Term | LayeredMonomial) -> tuple[int, int, tuple[GeneratorSymbol, ...], list]:
+    """``(n_out, n_in, decorations, edges)`` of the graph of a monomial.
 
     One walk over the layers from the top down keeps, for each open wire,
     the terminal endpoint above it.  A generator's output ports take edges
@@ -197,63 +200,92 @@ def term_to_graph(m: Term | LayeredMonomial) -> DecoratedGraph:
             for p in range(1, f.out_arity + 1):
                 edges.append((("vo", v, p), ends[w]))
                 w += 1
-            inputs.extend(("vi", v, q) for q in range(1, f.in_arity + 1))
+            inputs += [("vi", v, q) for q in range(1, f.in_arity + 1)]
             v += 1
         ends = [inputs[i - 1] for i in layer.below.perm.images]
     edges.extend((("in", i), e) for i, e in enumerate(ends, start=1))
     decorations = tuple(g for row in reversed(rows) for g in row)
-    return DecoratedGraph(mono.out_arity, mono.in_arity, decorations, frozenset(edges))
+    return mono.out_arity, mono.in_arity, decorations, edges
+
+
+def term_to_graph(m: Term | LayeredMonomial) -> DecoratedGraph:
+    """Lower a monomial to its decorated graph, validated; permutations and
+    units leave no vertices."""
+    n_out, n_in, decorations, edges = _walk(m)
+    return DecoratedGraph(n_out, n_in, decorations, frozenset(edges))
+
+
+def _numbering(n_out: int, n_in: int, decorations: tuple[GeneratorSymbol, ...],
+               edges) -> tuple[list[int], tuple]:
+    """The canonical vertex order of a graph and its canonical key.
+
+    The edges are first indexed by port: the endpoint across from output
+    ``p`` and from input ``q`` of each vertex, from graph output ``j`` and
+    from graph input ``i``.  A breadth-first walk then enters from outputs
+    1..n, then from inputs 1..m; at each vertex it follows the output
+    ports, then the input ports, in port order, and numbers vertices by
+    first visit.  Ports are labelled, so an isomorphism carries this order
+    of one graph onto that of the other.  A component with no boundary
+    port is never reached: ValueError.
+
+    The key is the biarity, the decorations in that order and the edge
+    list renumbered by it.  Initial endpoints are distinct, so listing the
+    graph inputs, then each vertex's output ports in order, gives the edges
+    already sorted.
+    """
+    below_out: list = [None] * n_out
+    above_in: list = [None] * n_in
+    above_vo: list[list] = [[None] * d.out_arity for d in decorations]
+    below_vi: list[list] = [[None] * d.in_arity for d in decorations]
+    for a, b in edges:  # boundary endpoints are pairs, vertex ports triples
+        if len(a) == 2:
+            above_in[a[1] - 1] = b
+        else:
+            above_vo[a[1]][a[2] - 1] = b
+        if len(b) == 2:
+            below_out[b[1] - 1] = a
+        else:
+            below_vi[b[1]][b[2] - 1] = a
+    order: list[int] = []
+    number = [-1] * len(decorations)
+    frontier = [below_out, above_in]
+    for ends in frontier:  # the walk appends to ``frontier`` while it runs
+        for e in ends:
+            if len(e) == 3 and number[e[1]] < 0:
+                v = e[1]
+                number[v] = len(order)
+                order.append(v)
+                frontier += (above_vo[v], below_vi[v])
+    if len(order) != len(decorations):
+        raise ValueError("a graph component without boundary ports has no canonical form")
+
+    renamed = [(("in", i), e) for i, e in enumerate(above_in, start=1)]
+    for k, v in enumerate(order):
+        renamed += [(("vo", k, p), e) for p, e in enumerate(above_vo[v], start=1)]
+    renamed = [(a, b if len(b) == 2 else ("vi", number[b[1]], b[2])) for a, b in renamed]
+    key_decorations = tuple(
+        (d.name, d.out_arity, d.in_arity, d.degree) for d in (decorations[v] for v in order)
+    )
+    return order, ((n_out, n_in), key_decorations, tuple(renamed))
 
 
 def canonical_order(g: DecoratedGraph) -> tuple[int, ...]:
-    """The vertices of ``g`` in canonical order.
-
-    A breadth-first walk enters from outputs 1..n, then from inputs 1..m; at
-    each vertex it follows the output ports, then the input ports, in port
-    order, and numbers vertices by first visit.  Ports are labelled, so an
-    isomorphism carries this order of one graph onto that of the other.  A
-    component with no boundary port is never reached: ValueError.
-    """
-    after = dict(g.edges)
-    before = {b: a for a, b in g.edges}
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def reach(e: Endpoint) -> None:
-        if e[0] in ("vo", "vi") and e[1] not in seen:
-            seen.add(e[1])
-            order.append(e[1])
-
-    for j in range(1, g.n_out + 1):
-        reach(before[("out", j)])
-    for i in range(1, g.n_in + 1):
-        reach(after[("in", i)])
-    for v in order:  # the walk appends to ``order`` while it runs
-        d = g.decorations[v]
-        for p in range(1, d.out_arity + 1):
-            reach(after[("vo", v, p)])
-        for p in range(1, d.in_arity + 1):
-            reach(before[("vi", v, p)])
-    if len(order) != len(g.decorations):
-        raise ValueError("a graph component without boundary ports has no canonical form")
-    return tuple(order)
+    """The vertices of ``g`` in canonical order (see ``_numbering``)."""
+    return tuple(_numbering(g.n_out, g.n_in, g.decorations, g.edges)[0])
 
 
 def canonical_key(g: DecoratedGraph) -> tuple:
     """A hashable, sortable key that is equal exactly for isomorphic graphs:
-    the biarity, the decorations in canonical order and the edge list
-    renumbered by that order."""
-    order = canonical_order(g)
-    number = {v: k for k, v in enumerate(order)}
+    the biarity, the decorations in canonical order and the sorted edge
+    list renumbered by that order."""
+    return _numbering(g.n_out, g.n_in, g.decorations, g.edges)[1]
 
-    def rename(e: Endpoint) -> Endpoint:
-        return (e[0], number[e[1]], e[2]) if e[0] in ("vo", "vi") else e
 
-    decorations = tuple(
-        (d.name, d.out_arity, d.in_arity, d.degree) for d in (g.decorations[v] for v in order)
-    )
-    edges = tuple(sorted((rename(a), rename(b)) for a, b in g.edges))
-    return (g.n_out, g.n_in), decorations, edges
+def monomial_key(m: Term | LayeredMonomial) -> tuple:
+    """``canonical_key(term_to_graph(m))``, numbered straight from the walk
+    over the layers with no graph built: the layers' widths meet, so every
+    port has exactly one edge, and a layered graph has no cycle."""
+    return _numbering(*_walk(m))[1]
 
 
 def isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> Optional[dict[int, int]]:
@@ -262,6 +294,8 @@ def isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> Optional[dict[int, int]]
     Graph input/output port labels must correspond identically; vertex ports
     must match index by index.
     """
-    if canonical_key(a) != canonical_key(b):
+    order_a, key_a = _numbering(a.n_out, a.n_in, a.decorations, a.edges)
+    order_b, key_b = _numbering(b.n_out, b.n_in, b.decorations, b.edges)
+    if key_a != key_b:
         return None
-    return dict(zip(canonical_order(a), canonical_order(b)))
+    return dict(zip(order_a, order_b))

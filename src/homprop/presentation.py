@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
-from .graphprop import canonical_key, term_to_graph
+from .graphprop import monomial_key
 from .term import (
     UNIT,
     GeneratorSymbol,
@@ -31,6 +31,7 @@ from .term import (
     index_units,
     monomial_degree,
     substitute,
+    substitute_all,
 )
 
 
@@ -114,8 +115,10 @@ class HomPresentation(Presentation):
         return set(self.plan.S) == set(self.base.labels)
 
 
-def _fresh_symbol(sig: Signature, name: str) -> GeneratorSymbol:
-    if name in sig:
+def _fresh_symbol(taken, name: str) -> GeneratorSymbol:
+    """A (1,1) twisting generator named ``name``, which ``taken`` (a
+    signature or a set of names) must not contain."""
+    if name in taken:
         raise NameCollision(f"generator {name!r} already exists; rename before hom-ifying")
     return GeneratorSymbol(name, 1, 1, 0)
 
@@ -123,15 +126,8 @@ def _fresh_symbol(sig: Signature, name: str) -> GeneratorSymbol:
 def _replace_units(
     p: Presentation, targets: dict[int, GeneratorSymbol]
 ) -> tuple[LinearTerm, ...]:
-    out = []
-    for r, rel in enumerate(p.relations):
-        assignment = {
-            occ: targets[occ.label]
-            for occ in p.unit_index
-            if occ.relation_index == r and occ.label in targets
-        }
-        out.append(substitute(rel, assignment, relation_index=r) if assignment else rel)
-    return tuple(out)
+    assignment = {occ: targets[occ.label] for occ in p.unit_index if occ.label in targets}
+    return substitute_all(p.relations, assignment)
 
 
 def _compatibility_relation(g: GeneratorSymbol, alpha: GeneratorSymbol) -> LinearTerm:
@@ -179,16 +175,16 @@ def homify_typed(p: Presentation, plan: HomPlan) -> HomPresentation:
         raise PlanError(f"plan labels {sorted(set(plan.S) - valid)} not in I")
     symbols = []
     targets: dict[int, GeneratorSymbol] = {}
-    sig = p.signature
+    taken = {g.name for g in p.signature.generators}
     for name, labels in plan.blocks:
-        sym = _fresh_symbol(sig, name)
-        sig = sig.extend([sym])
+        sym = _fresh_symbol(taken, name)
+        taken.add(name)
         symbols.append(sym)
         for lab in labels:
             targets[lab] = sym
     replaced = _replace_units(p, targets)
     return HomPresentation(
-        signature=sig,
+        signature=p.signature.extend(symbols),
         relations=replaced,
         base=p,
         plan=plan,
@@ -235,7 +231,7 @@ def projection_pi(
 def apply_substitution_to_relations(
     relations: Sequence[LinearTerm], mapping: dict
 ) -> tuple[LinearTerm, ...]:
-    return tuple(substitute(rel, mapping, relation_index=r) for r, rel in enumerate(relations))
+    return substitute_all(relations, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def _grouped(rel: LinearTerm) -> dict[tuple, list]:
     """Canonical graph key -> [summed coefficient, first monomial with that key]."""
     groups: dict[tuple, list] = {}
     for coef, mono in rel.terms:
-        groups.setdefault(canonical_key(term_to_graph(mono)), [0, mono])[0] += coef
+        groups.setdefault(monomial_key(mono), [0, mono])[0] += coef
     return groups
 
 

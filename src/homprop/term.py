@@ -466,8 +466,12 @@ def index_units(relations: Sequence[LinearTerm]) -> tuple[UnitOccurrence, ...]:
 # Substitution
 
 
+def _bad_replacement(sym: Factor) -> bool:
+    return isinstance(sym, GeneratorSymbol) and (sym.out_arity, sym.in_arity) != (1, 1)
+
+
 def _check_unit_replacement(sym: Factor) -> None:
-    if isinstance(sym, GeneratorSymbol) and (sym.out_arity, sym.in_arity) != (1, 1):
+    if _bad_replacement(sym):
         raise SubstitutionError(f"units may only be replaced by (1,1) symbols, got {sym!r}")
 
 
@@ -483,14 +487,12 @@ def _substitute_factor(f: Factor, symbol_map: Mapping[GeneratorSymbol, Factor]) 
     return f
 
 
-def _materialize_gap(gap: Interlayer, repl: Mapping[int, GeneratorSymbol]) -> tuple[Interlayer, Layer | None]:
+def _materialize_gap(gap: Interlayer, repl: Mapping[int, GeneratorSymbol] | None) -> tuple[Interlayer, Layer | None]:
     """Replace marked wires of a gap; returns the stripped gap and, if any
     replacement happened, the freshly created layer sitting below the
     permutation."""
     if not repl:
         return gap, None
-    for g in repl.values():
-        _check_unit_replacement(g)
     w = gap.width
     factors: list[Factor] = []
     for s in range(1, w + 1):
@@ -502,6 +504,74 @@ def _materialize_gap(gap: Interlayer, repl: Mapping[int, GeneratorSymbol]) -> tu
             factors.append(UNIT)
     new_layer = Layer(tuple(factors), Interlayer(identity(w)))
     return Interlayer(gap.perm), new_layer
+
+
+@dataclass(frozen=True)
+class _Split:
+    """An assignment classified once.
+
+    ``units`` buckets the occurrences by relation, then by (monomial, row),
+    as ``{slot: symbol}``.  An invalid entry is kept to be raised where
+    ``substitute`` would meet it: ``bad_value`` holds, per relation, the
+    first replacement that is not a (1,1) symbol, and ``bad_key`` the first
+    key that is neither a symbol nor an occurrence, as a 1-tuple (later
+    entries cannot matter, since every relation raises at it or before)."""
+
+    symbols: dict
+    units: dict
+    bad_value: dict
+    bad_key: tuple = ()
+
+    def apply(self, t: LinearTerm, r: int) -> LinearTerm:
+        if r in self.bad_value:
+            _check_unit_replacement(self.bad_value[r])
+        if self.bad_key:
+            raise SubstitutionError(f"bad assignment key {self.bad_key[0]!r}")
+        rows = self.units.get(r, {})
+        if not rows and not self.symbols:
+            return t
+        return LinearTerm(tuple((coef, self._monomial(mono, mi, rows))
+                                for mi, (coef, mono) in enumerate(t.terms)))
+
+    def _monomial(self, mono: LayeredMonomial, mi: int, rows: dict) -> LayeredMonomial:
+        top, top_layer = _materialize_gap(mono.top, rows.get((mi, 0)))
+        layers: list[Layer] = [] if top_layer is None else [top_layer]
+        for j, layer in enumerate(mono.layers, start=1):
+            here = rows.get((mi, 2 * j - 1), {})
+            factors = []
+            for i, f in enumerate(layer.factors, start=1):
+                g = here.get(i)
+                if g is not None:
+                    if not isinstance(f, UnitFactor):
+                        raise SubstitutionError(
+                            f"occurrence (mono {mi}, row {2*j-1}, slot {i}) is not a unit"
+                        )
+                    factors.append(g)
+                else:
+                    factors.append(_substitute_factor(f, self.symbols))
+            gap, gap_layer = _materialize_gap(layer.below, rows.get((mi, 2 * j)))
+            layers.append(Layer(tuple(factors), gap))
+            if gap_layer is not None:
+                layers.append(gap_layer)
+        return LayeredMonomial(top, tuple(layers))
+
+
+def _split(assignment: Mapping) -> _Split:
+    symbols: dict[GeneratorSymbol, Factor] = {}
+    units: dict[int, dict[tuple[int, int], dict[int, GeneratorSymbol]]] = {}
+    bad_value: dict[int, object] = {}
+    for key, value in assignment.items():
+        if isinstance(key, GeneratorSymbol):
+            symbols[key] = value
+        elif isinstance(key, UnitOccurrence):
+            r = key.relation_index
+            if r not in bad_value and _bad_replacement(value):
+                bad_value[r] = value
+            rows = units.setdefault(r, {})
+            rows.setdefault((key.monomial_index, key.layer_index), {})[key.slot_index] = value
+        else:
+            return _Split(symbols, units, bad_value, (key,))
+    return _Split(symbols, units, bad_value)
 
 
 def substitute(
@@ -517,44 +587,11 @@ def substitute(
     objects addressing units of this relation; their values must be
     ``(1,1)`` symbols.
     """
-    symbol_map: dict[GeneratorSymbol, Factor] = {}
-    occ_map: dict[tuple[int, int, int], GeneratorSymbol] = {}
-    for key, value in assignment.items():
-        if isinstance(key, GeneratorSymbol):
-            symbol_map[key] = value
-        elif isinstance(key, UnitOccurrence):
-            if key.relation_index == relation_index:
-                _check_unit_replacement(value)
-                occ_map[(key.monomial_index, key.layer_index, key.slot_index)] = value
-        else:
-            raise SubstitutionError(f"bad assignment key {key!r}")
+    return _split(assignment).apply(t, relation_index)
 
-    new_terms = []
-    for mi, (coef, mono) in enumerate(t.terms):
-        top, top_layer = _materialize_gap(
-            mono.top,
-            {slot: g for (m, row, slot), g in occ_map.items() if m == mi and row == 0},
-        )
-        layers: list[Layer] = [] if top_layer is None else [top_layer]
-        for j, layer in enumerate(mono.layers, start=1):
-            factors = []
-            for i, f in enumerate(layer.factors, start=1):
-                g = occ_map.get((mi, 2 * j - 1, i))
-                if g is not None:
-                    if not isinstance(f, UnitFactor):
-                        raise SubstitutionError(
-                            f"occurrence (mono {mi}, row {2*j-1}, slot {i}) is not a unit"
-                        )
-                    _check_unit_replacement(g)
-                    factors.append(g)
-                else:
-                    factors.append(_substitute_factor(f, symbol_map))
-            gap, gap_layer = _materialize_gap(
-                layer.below,
-                {slot: g for (m, row, slot), g in occ_map.items() if m == mi and row == 2 * j},
-            )
-            layers.append(Layer(tuple(factors), gap))
-            if gap_layer is not None:
-                layers.append(gap_layer)
-        new_terms.append((coef, LayeredMonomial(top, tuple(layers))))
-    return LinearTerm(tuple(new_terms))
+
+def substitute_all(relations: Sequence[LinearTerm], assignment: Mapping) -> tuple[LinearTerm, ...]:
+    """``substitute`` on every relation, relation ``r`` at relation_index
+    ``r``, with the assignment classified once."""
+    split = _split(assignment)
+    return tuple(split.apply(rel, r) for r, rel in enumerate(relations))

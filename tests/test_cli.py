@@ -267,6 +267,19 @@ def test_deep_monomial_has_no_recursion_limit(tmp_path, capsys):
     assert err == ""
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # 600 nested vcomps are about 1,200 JSON levels, too deep for json.loads.
+    depth = 600
+    monomial = '{"vcomp": [' * depth + '{"gen": "f"}' + ']}' * depth
+    path = tmp_path / "nested.json"
+    path.write_text('{"generators": [{"name": "f", "out": 1, "in": 1}], '
+                    '"relations": [[{"coef": "1", "monomial": ' + monomial + '}]]}')
+    assert main(["normality", "--presentation", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {path}: JSON nested too deeply\n"
+
+
 def test_report_determinism_byte_identical(tmp_path):
     algebra = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
     _, _ = run(["check", "--builtin", "as", "--algebra", algebra], tmp_path, "r1.json")

@@ -13,6 +13,7 @@ from homprop.graphprop import (
     exceptional,
     graft,
     isomorphic,
+    monomial_key,
     permutation_graph,
     term_to_graph,
 )
@@ -179,7 +180,10 @@ def random_monomial(rng: random.Random) -> LayeredMonomial:
     return LayeredMonomial(top, tuple(layers))
 
 
-def test_term_to_graph_matches_graft_chain():
+def walk_monomials() -> list[LayeredMonomial]:
+    """600 seeded random monomials, then every monomial of the round-trip
+    builtins, their theta_max and multiplicative hom-ifications and the pi
+    projection of the former."""
     rng = random.Random(77)
     monomials = [random_monomial(rng) for _ in range(600)]
     assert any(not m.layers for m in monomials)
@@ -189,10 +193,39 @@ def test_term_to_graph_matches_graft_chain():
         back = apply_substitution_to_relations(q.relations, projection_pi(q, "pi"))
         for rels in (p.relations, q.relations, homify_multiplicative(p).relations, back):
             monomials.extend(mono for rel in rels for _, mono in rel.terms)
-    for mono in monomials:
+    return monomials
+
+
+def test_term_to_graph_matches_graft_chain():
+    for mono in walk_monomials():
         got, want = term_to_graph(mono), graft_chain(mono)
         assert got == want
         assert got.dump() == want.dump()
+
+
+def key_or_error(key, x):
+    try:
+        return key(x)
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+def test_monomial_key_is_the_key_of_the_graph():
+    closed = 0
+    for mono in walk_monomials():
+        want = key_or_error(lambda m: canonical_key(term_to_graph(m)), mono)
+        assert key_or_error(monomial_key, mono) == want
+        closed += isinstance(want[0], type)
+    assert closed > 0  # the random monomials include closed components
+
+
+def test_monomial_key_refuses_a_closed_component():
+    mono = vcomp(Gen(EPS), Gen(ETA))
+    with pytest.raises(ValueError, match="without boundary ports") as by_graph:
+        canonical_key(term_to_graph(mono))
+    with pytest.raises(ValueError, match="without boundary ports") as by_walk:
+        monomial_key(mono)
+    assert str(by_walk.value) == str(by_graph.value)
 
 
 def test_isomorphic_reflexive_and_rebuilt():

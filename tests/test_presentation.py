@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from homprop import presentation
+from homprop import graphprop, presentation, term
 from homprop.builtins import (
     AsVariant,
     SubgroupTag,
@@ -33,14 +33,24 @@ from homprop.presentation import (
     theta_max,
     theta_min,
 )
+from homprop.perm import identity
 from homprop.term import (
+    UNIT,
     Gen,
     GeneratorSymbol,
+    Interlayer,
+    Layer,
+    LayeredMonomial,
     LinearTerm,
     Signature,
+    SubstitutionError,
     Tensor,
+    UnitFactor,
     UnitLeaf,
+    UnitOccurrence,
+    index_units,
     linear_term,
+    substitute,
     tensor,
     vcomp,
 )
@@ -324,14 +334,15 @@ def test_presentation_matches_counts_multiplicity():
     assert not presentation_matches(p, doubled)
 
 
-def test_linf5_round_trip_builds_one_graph_per_monomial(monkeypatch):
+def test_linf5_round_trip_builds_no_graph(monkeypatch):
     p, _ = builtin("linf:5")
     q = homify_typed(p, theta_max(p.labels))
     back = Presentation(p.signature, apply_substitution_to_relations(
         q.relations, projection_pi(q, "pi")))
-    built, lowered = [], []
+    built, lowered, keyed = [], [], []
     validate = DecoratedGraph.__post_init__
-    lower = presentation.term_to_graph
+    lower = graphprop.term_to_graph
+    key = presentation.monomial_key
 
     def counting_validate(self):
         built.append(self)
@@ -341,11 +352,48 @@ def test_linf5_round_trip_builds_one_graph_per_monomial(monkeypatch):
         lowered.append(mono)
         return lower(mono)
 
+    def counting_key(mono):
+        keyed.append(mono)
+        return key(mono)
+
     monkeypatch.setattr(DecoratedGraph, "__post_init__", counting_validate)
-    monkeypatch.setattr(presentation, "term_to_graph", counting_lower)
+    monkeypatch.setattr(graphprop, "term_to_graph", counting_lower)
+    monkeypatch.setattr(presentation, "monomial_key", counting_key)
     assert presentation_matches(back, p)
-    assert len(lowered) > 0
-    assert len(built) == len(lowered)  # no intermediate graphs
+    assert len(keyed) > 0
+    assert built == [] and lowered == []  # keys come straight from the layers
+
+
+@pytest.mark.parametrize("blocks, name", [
+    ((("mu", (1, 2)),), "mu"),  # a generator of the signature
+    ((("t", (1,)), ("t", (2,))), "t"),  # two blocks of one name
+])
+def test_homify_typed_refuses_taken_names(blocks, name):
+    p = associativity()
+    with pytest.raises(NameCollision) as exc:
+        homify_typed(p, HomPlan((1, 2), blocks))
+    assert str(exc.value) == f"generator {name!r} already exists; rename before hom-ifying"
+
+
+def test_homify_and_projection_classify_once(monkeypatch):
+    p, _ = builtin("linf:4")
+    extended, split = [], []
+    extend, classify = Signature.extend, term._split
+
+    def counting_extend(self, extra):
+        extended.append(extra)
+        return extend(self, extra)
+
+    def counting_split(assignment):
+        split.append(assignment)
+        return classify(assignment)
+
+    monkeypatch.setattr(Signature, "extend", counting_extend)
+    monkeypatch.setattr(term, "_split", counting_split)
+    q = homify_typed(p, theta_max(p.labels))
+    assert len(extended) == 1 and len(split) == 1
+    apply_substitution_to_relations(q.relations, projection_pi(q, "pi"))
+    assert len(split) == 2
 
 
 def test_unit_index_recomputed_on_homified():
@@ -355,3 +403,209 @@ def test_unit_index_recomputed_on_homified():
     p2, plan2 = as_variant(AsVariant.II1)
     q2 = homify_typed(p2, plan2)
     assert len(q2.unit_index) == 4  # the four untouched units remain
+
+
+# ---------------------------------------------------------------------------
+# Substitution against the per-relation reference
+
+
+def ref_check_unit_replacement(sym):
+    if isinstance(sym, GeneratorSymbol) and (sym.out_arity, sym.in_arity) != (1, 1):
+        raise SubstitutionError(f"units may only be replaced by (1,1) symbols, got {sym!r}")
+
+
+def ref_substitute_factor(f, symbol_map):
+    if isinstance(f, GeneratorSymbol) and f in symbol_map:
+        new = symbol_map[f]
+        if isinstance(new, GeneratorSymbol):
+            if (new.out_arity, new.in_arity) != (f.out_arity, f.in_arity):
+                raise SubstitutionError(f"cannot replace {f!r} by {new!r}: biarity changes")
+        elif (f.out_arity, f.in_arity) != (1, 1):
+            raise SubstitutionError(f"cannot replace {f!r} by the unit: biarity changes")
+        return new
+    return f
+
+
+def ref_materialize_gap(gap, repl):
+    if not repl:
+        return gap, None
+    for g in repl.values():
+        ref_check_unit_replacement(g)
+    w = gap.width
+    factors = [repl[s] if s in repl else UNIT for s in range(1, w + 1)]
+    return Interlayer(gap.perm), Layer(tuple(factors), Interlayer(identity(w)))
+
+
+def ref_substitute(t, assignment, *, relation_index=0):
+    """Reference: the assignment is classified again for every relation, and
+    every row's occurrences are looked up in the whole occurrence map."""
+    symbol_map = {}
+    occ_map = {}
+    for key, value in assignment.items():
+        if isinstance(key, GeneratorSymbol):
+            symbol_map[key] = value
+        elif isinstance(key, UnitOccurrence):
+            if key.relation_index == relation_index:
+                ref_check_unit_replacement(value)
+                occ_map[(key.monomial_index, key.layer_index, key.slot_index)] = value
+        else:
+            raise SubstitutionError(f"bad assignment key {key!r}")
+
+    new_terms = []
+    for mi, (coef, mono) in enumerate(t.terms):
+        top, top_layer = ref_materialize_gap(
+            mono.top,
+            {slot: g for (m, row, slot), g in occ_map.items() if m == mi and row == 0},
+        )
+        layers = [] if top_layer is None else [top_layer]
+        for j, layer in enumerate(mono.layers, start=1):
+            factors = []
+            for i, f in enumerate(layer.factors, start=1):
+                g = occ_map.get((mi, 2 * j - 1, i))
+                if g is not None:
+                    if not isinstance(f, UnitFactor):
+                        raise SubstitutionError(
+                            f"occurrence (mono {mi}, row {2*j-1}, slot {i}) is not a unit"
+                        )
+                    ref_check_unit_replacement(g)
+                    factors.append(g)
+                else:
+                    factors.append(ref_substitute_factor(f, symbol_map))
+            gap, gap_layer = ref_materialize_gap(
+                layer.below,
+                {slot: g for (m, row, slot), g in occ_map.items() if m == mi and row == 2 * j},
+            )
+            layers.append(Layer(tuple(factors), gap))
+            if gap_layer is not None:
+                layers.append(gap_layer)
+        new_terms.append((coef, LayeredMonomial(top, tuple(layers))))
+    return LinearTerm(tuple(new_terms))
+
+
+def ref_apply(relations, mapping):
+    return tuple(ref_substitute(rel, mapping, relation_index=r) for r, rel in enumerate(relations))
+
+
+def ref_replace_units(p, targets):
+    out = []
+    for r, rel in enumerate(p.relations):
+        assignment = {occ: targets[occ.label] for occ in p.unit_index
+                      if occ.relation_index == r and occ.label in targets}
+        out.append(ref_substitute(rel, assignment, relation_index=r) if assignment else rel)
+    return tuple(out)
+
+
+def outcome(f, *args, **kwargs):
+    """The result with its repr, or the exception's type and message."""
+    try:
+        got = f(*args, **kwargs)
+    except Exception as e:
+        return type(e), str(e)
+    return got, repr(got)
+
+
+ORACLE_BUILTINS = ("as", "as-g:s3", "as-ii1", "as-iii", "nambu:3", "bialgebra", "ybe",
+                   "ainf:5", "linf:4")
+
+
+def random_plan(p: Presentation, rng: random.Random) -> HomPlan:
+    S = rng.sample(p.labels, rng.randint(1, len(p.labels)))
+    blocks = [[] for _ in range(rng.randint(1, len(S)))]
+    for k, label in enumerate(S):
+        blocks[k if k < len(blocks) else rng.randrange(len(blocks))].append(label)
+    return HomPlan(tuple(sorted(S)), tuple((f"t{b}", tuple(labels))
+                                          for b, labels in enumerate(blocks)))
+
+
+def test_homify_and_projections_match_the_reference():
+    rng = random.Random(12)
+    for name in ORACLE_BUILTINS:
+        p, _ = builtin(name)
+        plans = [theta_min(p.labels), theta_max(p.labels)]
+        plans += [random_plan(p, rng) for _ in range(4)]
+        homified = []
+        for plan in plans:
+            q = homify_typed(p, plan)
+            targets = {label: GeneratorSymbol(block, 1, 1) for block, labels in plan.blocks
+                       for label in labels}
+            assert q.relations == ref_replace_units(p, targets)
+            assert q.signature == p.signature.extend(
+                [GeneratorSymbol(block, 1, 1) for block in plan.block_names()])
+            homified.append(q)
+        q = homify_multiplicative(p)
+        replaced = q.relations[len(p.signature.generators):]
+        assert replaced == ref_replace_units(p, {label: ALPHA for label in p.labels})
+        homified.append(q)
+        for q in homified:
+            kinds = ("pi2",) if q.kind == "multiplicative" else (
+                ("pi", "pi1") if q.covers_all_units() else ("pi",))
+            for kind in kinds:
+                mapping = projection_pi(q, kind)
+                got = apply_substitution_to_relations(q.relations, mapping)
+                want = ref_apply(q.relations, mapping)
+                assert got == want and repr(got) == repr(want)
+
+
+def substitution_pool(relations) -> list:
+    """Assignment entries for a relation list: valid and invalid unit
+    replacements, addresses of generator factors and of wires past a gap,
+    symbol renamings that keep or change the biarity, and bad keys."""
+    wrong = (GeneratorSymbol("mu3", 1, 2), GeneratorSymbol("delta3", 2, 1))
+    pool = []
+    for occ in index_units(relations):
+        pool += [(occ, ALPHA), (occ, wrong[occ.label % 2]), (occ, UNIT)]
+    pool.append((index_units(relations)[0], None))
+    symbols = []
+    for r, rel in enumerate(relations):
+        for mi, (_, mono) in enumerate(rel.terms):
+            for j, layer in enumerate(mono.layers, start=1):
+                for i, f in enumerate(layer.factors, start=1):
+                    if isinstance(f, GeneratorSymbol):
+                        pool.append((UnitOccurrence(r, mi, 2 * j - 1, i, 0), ALPHA))
+                        symbols.append(f)
+                pool.append((UnitOccurrence(r, mi, 2 * j, layer.below.width + 1, 0), ALPHA))
+    for g in set(symbols):
+        pool += [(g, GeneratorSymbol(g.name + "'", g.out_arity, g.in_arity, g.degree)),
+                 (g, UNIT), (g, GeneratorSymbol(g.name + "*", g.in_arity, g.out_arity + 1))]
+    pool += [("x", ALPHA), (None, ALPHA), (7, ALPHA)]
+    return pool
+
+
+def test_substitution_errors_match_the_reference():
+    rng = random.Random(2012)
+    seen = set()
+    for name in ORACLE_BUILTINS:
+        p, _ = builtin(name)
+        relations = p.relations
+        pool = substitution_pool(relations)
+        for _ in range(30):
+            assignment = dict(rng.sample(pool, rng.randint(1, min(6, len(pool)))))
+            got = outcome(apply_substitution_to_relations, relations, assignment)
+            assert got == outcome(ref_apply, relations, assignment)
+            seen.add(got[0] if isinstance(got[0], type) else "ok")
+            for r, rel in enumerate(relations):
+                assert (outcome(substitute, rel, assignment, relation_index=r)
+                        == outcome(ref_substitute, rel, assignment, relation_index=r))
+            assert apply_substitution_to_relations((), assignment) == ()
+    assert seen >= {"ok", SubstitutionError}
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([("x", ALPHA)], "bad assignment key 'x'"),
+    ([(None, ALPHA)], "bad assignment key None"),
+    ([(UnitOccurrence(0, 0, 1, 1, 0), ALPHA)], "occurrence (mono 0, row 1, slot 1) is not a unit"),
+    ([(MU, ALPHA)], "cannot replace mu(1,2) by alpha(1,1): biarity changes"),
+    ([(MU, UNIT)], "cannot replace mu(1,2) by the unit: biarity changes"),
+    ([(UnitOccurrence(0, 0, 1, 2, 1), MU)], "units may only be replaced by (1,1) symbols, got mu(1,2)"),
+    # The first entry in assignment order that relation 0 meets is raised.
+    ([(UnitOccurrence(0, 0, 1, 2, 1), MU), ("x", ALPHA)], "units may only be replaced"),
+    ([("x", ALPHA), (UnitOccurrence(0, 0, 1, 2, 1), MU)], "bad assignment key 'x'"),
+    ([(UnitOccurrence(1, 0, 1, 2, 1), MU), ("x", ALPHA)], "bad assignment key 'x'"),
+])
+def test_substitution_error_inputs(entries, message):
+    relations = associativity().relations
+    assignment = dict(entries)
+    want = outcome(ref_apply, relations, assignment)
+    assert want[0] is SubstitutionError and message in want[1]
+    assert outcome(apply_substitution_to_relations, relations, assignment) == want
+    assert outcome(substitute, relations[0], assignment) == outcome(ref_substitute, relations[0], assignment)
