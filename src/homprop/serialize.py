@@ -9,10 +9,11 @@ permutation images and plan labels must be JSON integers.  Term trees use the fi
     {"gen": name} | {"unit": true} | {"perm": [images]} |
     {"tensor": [t1, t2, ...]} | {"vcomp": [top, ..., bottom]}
 
-with n-ary tensor/vcomp nodes right-associated on parse.  Serialization of
-a stored monomial emits one row per layer and permutation gap, so parsing
-it back yields the identical canonical form; unit-occurrence labels survive
-round trips.
+where every node has exactly one of these keys and a unit is written
+``true``; anything else is a ``ParseError``.  N-ary tensor/vcomp nodes are
+right-associated on parse.  Serialization of a stored monomial emits one
+row per layer and permutation gap, so parsing it back yields the identical
+canonical form; unit-occurrence labels survive round trips.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from typing import Any, Optional
 from .linalg import GradedSpace, LinearMap, make_map
 from .presentation import HomPlan, Presentation
 from .algebra import StructureMap, structure_map
+from .perm import Permutation
 from .term import (
     Gen,
     GeneratorSymbol,
@@ -47,15 +49,17 @@ class ParseError(ValueError):
     pass
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args: Any) -> None:
+    """Raise ``ParseError(msg.format(*args))`` unless ``cond``; the message
+    is only formatted on failure, so a valid node's repr is never built."""
     if not cond:
-        raise ParseError(msg)
+        raise ParseError(msg.format(*args) if args else msg)
 
 
 def _rational(v: Any, where: str) -> Fraction:
     """An exact rational from a JSON string or integer."""
     _require(isinstance(v, (str, int)) and not isinstance(v, bool),
-             f"{where}: {v!r} is not exact; write rationals as strings or integers")
+             "{}: {!r} is not exact; write rationals as strings or integers", where, v)
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
@@ -64,13 +68,13 @@ def _rational(v: Any, where: str) -> Fraction:
 
 def _integer(v: Any, where: str, lowest: Optional[int] = None) -> int:
     """A JSON integer (not a boolean), at least ``lowest`` if given."""
-    _require(isinstance(v, int) and not isinstance(v, bool), f"{where}: {v!r} is not an integer")
-    _require(lowest is None or v >= lowest, f"{where}: {v!r} is below {lowest}")
+    _require(isinstance(v, int) and not isinstance(v, bool), "{}: {!r} is not an integer", where, v)
+    _require(lowest is None or v >= lowest, "{}: {!r} is below {}", where, v, lowest)
     return v
 
 
 def _list(v: Any, where: str) -> list:
-    _require(isinstance(v, list), f"{where} must be a list, got {v!r}")
+    _require(isinstance(v, list), "{} must be a list, got {!r}", where, v)
     return v
 
 
@@ -124,28 +128,26 @@ def _monomial_to_json(m: LayeredMonomial) -> Any:
     return {"vcomp": rows}
 
 
-def term_from_json(data: Any, signature: Signature) -> Term:
-    _require(isinstance(data, dict), f"term node must be an object, got {data!r}")
-    if "gen" in data:
-        name = data["gen"]
-        _require(name in signature, f"unknown generator {name!r}")
-        return Gen(signature[name])
-    if "unit" in data:
-        return UnitLeaf()
-    if "perm" in data:
-        from .perm import Permutation
+_TERM_KINDS = ("gen", "unit", "perm", "tensor", "vcomp")
 
-        return PermLeaf(Permutation(
-            tuple(_integer(i, "perm image") for i in _list(data["perm"], "perm"))))
-    if "tensor" in data:
-        parts = [term_from_json(p, signature) for p in _list(data["tensor"], "tensor")]
-        _require(len(parts) >= 1, "empty tensor node")
-        return tensor_term(*parts)
-    if "vcomp" in data:
-        parts = [term_from_json(p, signature) for p in _list(data["vcomp"], "vcomp")]
-        _require(len(parts) >= 1, "empty vcomp node")
-        return vcomp_term(*parts)
-    raise ParseError(f"unrecognized term node {data!r}")
+
+def term_from_json(data: Any, signature: Signature) -> Term:
+    _require(isinstance(data, dict), "term node must be an object, got {!r}", data)
+    _require(len(data) == 1 and next(iter(data)) in _TERM_KINDS,
+             "term node needs exactly one key, one of gen, unit, perm, tensor, vcomp; got {!r}",
+             data)
+    ((kind, value),) = data.items()
+    if kind == "gen":
+        _require(value in signature, "unknown generator {!r}", value)
+        return Gen(signature[value])
+    if kind == "unit":
+        _require(value is True, "unit node must be {{\"unit\": true}}, got {!r}", data)
+        return UnitLeaf()
+    if kind == "perm":
+        return PermLeaf(Permutation(tuple(_integer(i, "perm image") for i in _list(value, "perm"))))
+    parts = [term_from_json(p, signature) for p in _list(value, kind)]
+    _require(len(parts) >= 1, "empty {} node", kind)
+    return tensor_term(*parts) if kind == "tensor" else vcomp_term(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def presentation_from_json(data: Any) -> Presentation:
     gens = []
     for g in _list(data["generators"], "generators"):
         _require(isinstance(g, dict) and {"name", "out", "in"} <= g.keys(),
-                 f"generator needs 'name', 'out' and 'in', got {g!r}")
+                 "generator needs 'name', 'out' and 'in', got {!r}", g)
         name = g["name"]
         _require(isinstance(name, str), f"generator name {name!r} is not a string")
         gens.append(GeneratorSymbol(
@@ -191,7 +193,7 @@ def presentation_from_json(data: Any) -> Presentation:
         pairs = []
         for item in rel:
             _require(isinstance(item, dict) and "coef" in item and "monomial" in item,
-                     f"relation item needs 'coef' and 'monomial', got {item!r}")
+                     "relation item needs 'coef' and 'monomial', got {!r}", item)
             coef = _rational(item["coef"], "coef")
             mono = layerize(term_from_json(item["monomial"], sig))
             pairs.append((coef, mono))

@@ -9,7 +9,13 @@ layers and permutation gaps,
     top . (layer_1 . gap_1) . (layer_2 . gap_2) . ... . (layer_k . gap_k)
 
 read top-to-bottom, inputs at the bottom.  ``layerize`` rewrites any
-well-typed monomial into this shape using the interchange law.
+well-typed monomial into this shape using the interchange law; this is the
+interchange-law normal form of the free PROP (Markl, "Operads and PROPs",
+Handbook of Algebra 5, 2008).  It walks the term once, keeping the partial
+results as plain lists: a run of vertical compositions is stacked in one
+step, a run of tensors is padded to a common number of layers and
+concatenated in one step, and the ``LayeredMonomial`` is built, and
+validated, once at the end.
 
 Unit occurrences are first-class data: hom-ification replaces selected ones
 with twisting generators, so they must stay addressable.  A unit occurrence
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .perm import Permutation, block_sum, compose, identity
+from .perm import Permutation, identity
 
 
 class VCompArityMismatch(ValueError):
@@ -305,117 +311,154 @@ def linear_term(pairs: Sequence[tuple]) -> LinearTerm:
 # Layerization
 
 
-def _chain_unit() -> LayeredMonomial:
-    return LayeredMonomial(Interlayer(identity(1), (1,)), ())
+# While a term is walked, a chain is plain data: ``[top gap, rows]`` with one
+# ``[factors, gap]`` row per layer, a gap being ``[images, marks]``, all of
+# them lists owned by the chain.  Chains are joined in place, and the
+# permutations, gaps, layers and monomial are built and validated once.
 
 
-def _chain_perm(p: Permutation) -> LayeredMonomial:
-    return LayeredMonomial(Interlayer(p), ())
+def _leaf_chain(t: Term | LayeredMonomial) -> list:
+    if isinstance(t, Gen):
+        g = t.symbol
+        return [[list(range(1, g.out_arity + 1)), []],
+                [[[g], [list(range(1, g.in_arity + 1)), []]]]]
+    if isinstance(t, UnitLeaf):
+        return [[[1], [1]], []]
+    if isinstance(t, PermLeaf):
+        return [[list(t.perm.images), []], []]
+    if isinstance(t, LayeredMonomial):
+        return [_gap_lists(t.top),
+                [[list(layer.factors), _gap_lists(layer.below)] for layer in t.layers]]
+    raise TypeError(f"not a term: {t!r}")
 
 
-def _chain_gen(g: GeneratorSymbol) -> LayeredMonomial:
-    return LayeredMonomial(
-        Interlayer(identity(g.out_arity)),
-        (Layer((g,), Interlayer(identity(g.in_arity))),),
-    )
+def _gap_lists(gap: Interlayer) -> list:
+    return [list(gap.perm.images), list(gap.marks)]
 
 
-def _merge_gaps(upper: Interlayer, lower: Interlayer) -> Interlayer:
-    """Fuse two adjacent gaps: compose permutations, carry marks along wires."""
-    perm = compose(upper.perm, lower.perm)
-    inv = lower.perm.inverse()
-    carried = {inv(s) for s in upper.marks}
-    return Interlayer(perm, tuple(sorted(carried | set(lower.marks))))
+def _in_width(chain: list) -> int:
+    top, rows = chain
+    return len(rows[-1][1][0]) if rows else len(top[0])
 
 
-def _vcomp_chains(chains: Sequence[LayeredMonomial]) -> LayeredMonomial:
-    """Stack chains, top first: their layers in order, each chain's top gap
+def _fuse(upper: list, lower: list) -> list:
+    """The gap ``upper`` followed by ``lower``: permutations composed, and
+    the marks of ``upper`` carried down their wires through ``lower``."""
+    images = [upper[0][j - 1] for j in lower[0]]
+    if not upper[1]:
+        return [images, lower[1]]
+    inv = [0] * len(lower[0])
+    for i, j in enumerate(lower[0], start=1):
+        inv[j - 1] = i
+    return [images, sorted({inv[s - 1] for s in upper[1]}.union(lower[1]))]
+
+
+def _vcomp_run(parts: list) -> list:
+    """Stack chains, top first: their rows in order, each chain's top gap
     fused into the gap above it.  Fusing gaps is associative, so this is
     the nested binary composition; like it, a mismatch is reported at the
     lowest junction first."""
-    for a, b in reversed(list(zip(chains, chains[1:]))):
-        if a.in_arity != b.out_arity:
-            raise VCompArityMismatch(a.in_arity, b.out_arity)
-    top, layers = chains[0].top, list(chains[0].layers)
-    for c in chains[1:]:
-        if layers:
-            last = layers[-1]
-            layers[-1] = Layer(last.factors, _merge_gaps(last.below, c.top))
+    for i in range(len(parts) - 1, 0, -1):
+        expected, found = _in_width(parts[i - 1]), len(parts[i][0][0])
+        if expected != found:
+            raise VCompArityMismatch(expected, found)
+    out = parts[0]
+    rows = out[1]
+    for top, more in parts[1:]:
+        if rows:
+            rows[-1][1] = _fuse(rows[-1][1], top)
         else:
-            top = _merge_gaps(top, c.top)
-        layers.extend(c.layers)
-    return LayeredMonomial(top, tuple(layers))
+            out[0] = _fuse(out[0], top)
+        rows.extend(more)
+    return out
 
 
-def _join_gaps(left: Interlayer, right: Interlayer) -> Interlayer:
-    perm = block_sum(left.perm, right.perm)
-    marks = left.marks + tuple(s + left.width for s in right.marks)
-    return Interlayer(perm, tuple(sorted(marks)))
+def _pad(chain: list, k: int) -> list:
+    """Raise a chain to exactly ``k`` rows by adding unit rows below.  A
+    chain with no rows is a purely vertical gap: its permutation stays on
+    top, its wires become unit factors through all ``k`` rows, and its
+    marks are absorbed."""
+    top, rows = chain
+    missing = k - len(rows)
+    if missing:
+        if rows:
+            w = len(rows[-1][1][0])
+        else:
+            w = len(top[0])
+            top[1] = []
+        rows.extend([[UNIT] * w, [list(range(1, w + 1)), []]] for _ in range(missing))
+    return chain
 
 
-def _pad_chain(c: LayeredMonomial, k: int) -> LayeredMonomial:
-    """Raise a chain to exactly ``k`` layers by adding unit rows below."""
-    if len(c.layers) == k:
-        return c
-    if not c.layers:
-        # A purely vertical gap: its permutation stays on top and its wires
-        # become unit factors through all k rows (marks are absorbed).
-        w = c.top.width
-        rows = tuple(Layer((UNIT,) * w, Interlayer(identity(w))) for _ in range(k))
-        return LayeredMonomial(Interlayer(c.top.perm), rows)
-    w = c.in_arity
-    pads = tuple(
-        Layer((UNIT,) * w, Interlayer(identity(w))) for _ in range(k - len(c.layers))
-    )
-    return LayeredMonomial(c.top, c.layers + pads)
+def _join(left: list, right: list) -> None:
+    """Put gap ``right`` beside gap ``left``, in place."""
+    w = len(left[0])
+    left[0].extend([j + w for j in right[0]])
+    left[1].extend([s + w for s in right[1]])
 
 
-def _tensor_chains(a: LayeredMonomial, b: LayeredMonomial) -> LayeredMonomial:
-    k = max(len(a.layers), len(b.layers))
-    a, b = _pad_chain(a, k), _pad_chain(b, k)
-    top = _join_gaps(a.top, b.top)
-    layers = tuple(
-        Layer(la.factors + lb.factors, _join_gaps(la.below, lb.below))
-        for la, lb in zip(a.layers, b.layers)
-    )
-    return LayeredMonomial(top, layers)
+def _tensor_run(parts: list) -> list:
+    """Set chains side by side: pad each to the most rows, then concatenate
+    the top gaps and, row by row, the factors and the gaps."""
+    k = max(len(rows) for _, rows in parts)
+    out = _pad(parts[0], k)
+    for part in parts[1:]:
+        top, rows = _pad(part, k)
+        _join(out[0], top)
+        for row, (factors, gap) in zip(out[1], rows):
+            row[0].extend(factors)
+            _join(row[1], gap)
+    return out
 
 
-def _leaf_chain(t: Term | LayeredMonomial) -> LayeredMonomial:
-    if isinstance(t, LayeredMonomial):
-        return t
-    if isinstance(t, Gen):
-        return _chain_gen(t.symbol)
-    if isinstance(t, UnitLeaf):
-        return _chain_unit()
-    if isinstance(t, PermLeaf):
-        return _chain_perm(t.perm)
-    raise TypeError(f"not a term: {t!r}")
+def _chain(t: Term | LayeredMonomial) -> list:
+    """The chain of a term, by one walk with explicit stacks.
+
+    A run of ``Tensor``s or of ``VComp``s down a right spine is collected
+    as one list of parts and joined in one step once the spine's last term
+    is reached, from the bottom run up.  The left part of each node is
+    walked before its right part, on a stack of waiting spines rather than
+    by recursion, so exceptions are raised in the order of a recursive
+    left-to-right walk, and deep nesting on either side is fine."""
+    waiting: list[tuple[list, Tensor | VComp]] = []
+    spine: list[tuple[bool, list]] = []  # (is_tensor, parts) per run
+    while True:
+        while isinstance(t, (Tensor, VComp)):
+            waiting.append((spine, t))
+            spine = []
+            t = t.left if isinstance(t, Tensor) else t.upper
+        out = _leaf_chain(t)
+        for is_tensor, parts in reversed(spine):
+            parts.append(out)
+            out = _tensor_run(parts) if is_tensor else _vcomp_run(parts)
+        if not waiting:
+            return out
+        spine, node = waiting.pop()
+        is_tensor = isinstance(node, Tensor)
+        if spine and spine[-1][0] == is_tensor:
+            spine[-1][1].append(out)
+        else:
+            spine.append((is_tensor, [out]))
+        t = node.right if is_tensor else node.lower
+
+
+def _gap(gap: list) -> Interlayer:
+    return Interlayer(Permutation(tuple(gap[0])), tuple(gap[1]))
 
 
 def layerize(t: Term | LayeredMonomial) -> LayeredMonomial:
     """Canonical layered form of a monomial; idempotent on layered input.
 
-    ``tensor`` and ``vcomp`` nest to the right, so the right spine of a
-    chain is walked with a list rather than by recursion: the left parts
-    are layerized top-down, then the chain is folded back from the bottom,
-    in the order a recursive walk would take.  A run of vertical
-    compositions on the spine is stacked in one step.
+    The term is walked once into a plain chain (see ``_chain``): a run of
+    vertical compositions stacks its parts, fusing the gaps where they
+    meet, and a run of tensors pads its parts to the same number of rows
+    and concatenates them, so a row of width w costs O(w).  The
+    ``LayeredMonomial`` and its parts are then built, and validated, once.
     """
-    # (True, [left part]) for a tensor, (False, [upper parts]) for a run of vcomps
-    spine: list[tuple[bool, list[LayeredMonomial]]] = []
-    while isinstance(t, (Tensor, VComp)):
-        is_tensor = isinstance(t, Tensor)
-        part = layerize(t.left if is_tensor else t.upper)
-        if is_tensor or not spine or spine[-1][0]:
-            spine.append((is_tensor, [part]))
-        else:
-            spine[-1][1].append(part)
-        t = t.right if is_tensor else t.lower
-    out = _leaf_chain(t)
-    for is_tensor, parts in reversed(spine):
-        out = _tensor_chains(parts[0], out) if is_tensor else _vcomp_chains(parts + [out])
-    return out
+    if isinstance(t, LayeredMonomial):
+        return t
+    top, rows = _chain(t)
+    return LayeredMonomial(_gap(top), tuple(Layer(tuple(f), _gap(g)) for f, g in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,36 @@ def test_deep_monomial_has_no_recursion_limit(tmp_path, capsys):
     assert err == ""
 
 
+def test_wide_row_is_read_in_one_layer(tmp_path, capsys):
+    # 2,000 factors side by side: one layer, joined in one step.
+    pres = write(tmp_path, "wide.json", {
+        "generators": [{"name": "f", "out": 1, "in": 1}],
+        "relations": [[{"coef": "1", "monomial": {"tensor": [{"gen": "f"}] * 2000}}]],
+    })
+    assert main(["normality", "--presentation", pres]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["relations"][0]["degree"] == 1
+    assert err == ""
+
+
+@pytest.mark.parametrize("node", [
+    {"unit": False},
+    {"unit": 0},
+    {"gen": "mu", "perm": [1, 2]},
+])
+def test_malformed_term_node_is_an_input_error(tmp_path, capsys, node):
+    # Each node used to be read as a unit or as one of its two kinds.
+    pres = write(tmp_path, "p.json", {
+        "generators": [{"name": "mu", "out": 1, "in": 2}],
+        "relations": [[{"coef": "1", "monomial": {"vcomp": [{"gen": "mu"}, {"tensor": [
+            {"gen": "mu"}, node]}]}}]],
+    })
+    assert main(["normality", "--presentation", pres]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ") and repr(node) in err
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     # 600 nested vcomps are about 1,200 JSON levels, too deep for json.loads.
     depth = 600

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homprop.builtins import (
     AsVariant,
@@ -15,7 +16,8 @@ from homprop.builtins import (
     ybe,
 )
 from homprop.corpus import c2_bialgebra, dual_numbers, dual_numbers_beta, flip_ybe, sl2
-from homprop.presentation import homify_typed, theta_min
+from homprop.perm import Permutation
+from homprop.presentation import Presentation, homify_typed, theta_min
 from homprop.serialize import (
     ParseError,
     algebra_from_json,
@@ -30,7 +32,16 @@ from homprop.serialize import (
     term_from_json,
     term_to_json,
 )
-from homprop.term import GeneratorSymbol, Signature, layerize
+from homprop.term import (
+    UNIT,
+    GeneratorSymbol,
+    Interlayer,
+    Layer,
+    LayeredMonomial,
+    LinearTerm,
+    Signature,
+    layerize,
+)
 
 ALL_PRESENTATIONS = [
     as_g(SubgroupTag.E),
@@ -186,3 +197,86 @@ def test_integers_and_rational_strings_are_exact():
     data["matrix"] = [[2, "0"], [" -3/6 ", 1]]
     beta = endomorphism_from_json(data)
     assert beta.entries == ((Fraction(2), Fraction(0)), (Fraction(-1, 2), Fraction(1)))
+
+
+# ---------------------------------------------------------------------------
+# Properties on generated layered monomials: units as factors, marks on
+# gaps, permutation gaps, odd-degree and (0,1)/(1,0) generators.
+
+PROPERTY_GENS = (
+    GeneratorSymbol("mu", 1, 2),
+    GeneratorSymbol("delta", 2, 1),
+    GeneratorSymbol("alpha", 1, 1),
+    GeneratorSymbol("odd", 1, 1, 1),
+    GeneratorSymbol("odd3", 2, 1, 3),
+    GeneratorSymbol("eps", 0, 1),
+    GeneratorSymbol("eta", 1, 0, 1),
+)
+PROPERTY_SIG = Signature(PROPERTY_GENS)
+PROPERTIES = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+def _out(f):
+    return 1 if f is UNIT else f.out_arity
+
+
+def _in(f):
+    return 1 if f is UNIT else f.in_arity
+
+
+@st.composite
+def gaps(draw, width):
+    images = draw(st.permutations(range(1, width + 1)))
+    marks = draw(st.sets(st.integers(1, width))) if width else set()
+    return Interlayer(Permutation(tuple(images)), tuple(sorted(marks)))
+
+
+@st.composite
+def rows(draw, width):
+    """Factors with ``width`` outputs in all, at least one a generator (a
+    row of units alone is a gap's marks, not a layer)."""
+    factors, remaining = [], width
+    while remaining or all(f is UNIT for f in factors):
+        choices = [f for f in (UNIT,) + PROPERTY_GENS if _out(f) <= remaining
+                   and (_out(f) or remaining == 0 or len(factors) <= width)]
+        f = draw(st.sampled_from(choices))
+        factors.append(f)
+        remaining -= _out(f)
+    return tuple(factors)
+
+
+@st.composite
+def layered_monomials(draw):
+    width = draw(st.integers(0, 3))
+    top = draw(gaps(width))
+    layers = []
+    for _ in range(draw(st.integers(0, 3))):
+        factors = draw(rows(width))
+        width = sum(_in(f) for f in factors)
+        layers.append(Layer(factors, draw(gaps(width))))
+    return LayeredMonomial(top, tuple(layers))
+
+
+@st.composite
+def presentations(draw):
+    """Monomials with nonzero coefficients, one relation per biarity."""
+    by_biarity = {}
+    for m in draw(st.lists(layered_monomials(), min_size=1, max_size=6)):
+        coef = draw(st.fractions(-5, 5, max_denominator=6).filter(bool))
+        by_biarity.setdefault(m.biarity, []).append((coef, m))
+    return Presentation(PROPERTY_SIG, tuple(LinearTerm(tuple(terms))
+                                            for terms in by_biarity.values()))
+
+
+@PROPERTIES
+@given(layered_monomials())
+def test_monomial_json_round_trip_property(m):
+    assert layerize(term_from_json(term_to_json(m), PROPERTY_SIG)) == m
+
+
+@PROPERTIES
+@given(presentations())
+def test_presentation_json_round_trip_property(p):
+    q = presentation_from_json(json.loads(dumps(presentation_to_json(p))))
+    assert q == p
+    assert q.unit_index == p.unit_index

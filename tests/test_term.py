@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from homprop.perm import Permutation, identity, transposition
+from homprop.perm import Permutation, block_sum, compose, identity, transposition
 from homprop.term import (
     UNIT,
     Gen,
     GeneratorSymbol,
+    Interlayer,
+    Layer,
+    LayeredMonomial,
     LinearTerm,
     PermLeaf,
-    Signature,
     Signature,
     SubstitutionError,
     Tensor,
@@ -292,3 +294,243 @@ def test_layerize_reassociation_invariant():
     _, m2 = infer_biarity(s2)
     s3 = random_strip(rng, m2)
     assert layerize(VComp(VComp(s1, s2), s3)) == layerize(VComp(s1, VComp(s2, s3)))
+
+
+# ---------------------------------------------------------------------------
+# layerize against the chain fold it replaced: every leaf became a validated
+# LayeredMonomial, and every binary Tensor and every VComp run built and
+# validated a new one.
+
+
+def ref_merge_gaps(upper, lower):
+    perm = compose(upper.perm, lower.perm)
+    inv = lower.perm.inverse()
+    carried = {inv(s) for s in upper.marks}
+    return Interlayer(perm, tuple(sorted(carried | set(lower.marks))))
+
+
+def ref_vcomp_chains(chains):
+    for a, b in reversed(list(zip(chains, chains[1:]))):
+        if a.in_arity != b.out_arity:
+            raise VCompArityMismatch(a.in_arity, b.out_arity)
+    top, layers = chains[0].top, list(chains[0].layers)
+    for c in chains[1:]:
+        if layers:
+            last = layers[-1]
+            layers[-1] = Layer(last.factors, ref_merge_gaps(last.below, c.top))
+        else:
+            top = ref_merge_gaps(top, c.top)
+        layers.extend(c.layers)
+    return LayeredMonomial(top, tuple(layers))
+
+
+def ref_join_gaps(left, right):
+    perm = block_sum(left.perm, right.perm)
+    marks = left.marks + tuple(s + left.width for s in right.marks)
+    return Interlayer(perm, tuple(sorted(marks)))
+
+
+def ref_pad_chain(c, k):
+    if len(c.layers) == k:
+        return c
+    if not c.layers:
+        w = c.top.width
+        rows = tuple(Layer((UNIT,) * w, Interlayer(identity(w))) for _ in range(k))
+        return LayeredMonomial(Interlayer(c.top.perm), rows)
+    w = c.in_arity
+    pads = tuple(
+        Layer((UNIT,) * w, Interlayer(identity(w))) for _ in range(k - len(c.layers))
+    )
+    return LayeredMonomial(c.top, c.layers + pads)
+
+
+def ref_tensor_chains(a, b):
+    k = max(len(a.layers), len(b.layers))
+    a, b = ref_pad_chain(a, k), ref_pad_chain(b, k)
+    top = ref_join_gaps(a.top, b.top)
+    layers = tuple(
+        Layer(la.factors + lb.factors, ref_join_gaps(la.below, lb.below))
+        for la, lb in zip(a.layers, b.layers)
+    )
+    return LayeredMonomial(top, layers)
+
+
+def ref_leaf_chain(t):
+    if isinstance(t, LayeredMonomial):
+        return t
+    if isinstance(t, Gen):
+        g = t.symbol
+        return LayeredMonomial(
+            Interlayer(identity(g.out_arity)),
+            (Layer((g,), Interlayer(identity(g.in_arity))),),
+        )
+    if isinstance(t, UnitLeaf):
+        return LayeredMonomial(Interlayer(identity(1), (1,)), ())
+    if isinstance(t, PermLeaf):
+        return LayeredMonomial(Interlayer(t.perm), ())
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_layerize(t):
+    spine = []
+    while isinstance(t, (Tensor, VComp)):
+        is_tensor = isinstance(t, Tensor)
+        part = ref_layerize(t.left if is_tensor else t.upper)
+        if is_tensor or not spine or spine[-1][0]:
+            spine.append((is_tensor, [part]))
+        else:
+            spine[-1][1].append(part)
+        t = t.right if is_tensor else t.lower
+    out = ref_leaf_chain(t)
+    for is_tensor, parts in reversed(spine):
+        out = ref_tensor_chains(parts[0], out) if is_tensor else ref_vcomp_chains(parts + [out])
+    return out
+
+
+ORACLE_GENS = [
+    MU, DELTA, B, ALPHA,
+    GeneratorSymbol("eps", 0, 1),
+    GeneratorSymbol("eta", 1, 0),
+    GeneratorSymbol("odd", 1, 1, 1),
+    GeneratorSymbol("odd3", 2, 1, 3),
+]
+NON_TERMS = [None, 7, "mu", MU, identity(2), (UnitLeaf(),)]
+
+
+def oracle_piece(rng, room, depth):
+    """A leaf with at most ``room`` outputs (a generator, a unit, a
+    permutation, a layered monomial or, rarely, a non-term) and its biarity."""
+    r = rng.random()
+    if r < 0.01:
+        return rng.choice(NON_TERMS), (0, 0)
+    if r < 0.2 and room:
+        return UnitLeaf(), (1, 1)
+    if r < 0.32:
+        images = list(range(1, rng.randint(0, min(room, 3)) + 1))
+        rng.shuffle(images)
+        return PermLeaf(Permutation(tuple(images))), (len(images), len(images))
+    if r < 0.4 and depth > 0 and room:
+        t, (n, m) = oracle_term(rng, rng.randint(1, room), depth - 1, mismatches=0)
+        try:
+            return layerize(t), (n, m)
+        except (TypeError, VCompArityMismatch):
+            pass
+    g = rng.choice([g for g in ORACLE_GENS if g.out_arity <= room])
+    return Gen(g), (g.out_arity, g.in_arity)
+
+
+def oracle_strip(rng, n, depth):
+    """A right-nested tensor of leaves with ``n`` outputs in all."""
+    parts, inputs, remaining = [], 0, n
+    while remaining > 0 or not parts or rng.random() < 0.1:
+        leaf, (out, inp) = oracle_piece(rng, remaining, depth)
+        parts.append(leaf)
+        inputs += inp
+        remaining -= out
+    return tensor(*parts), (n - remaining, inputs)
+
+
+def oracle_term(rng, n, depth, mismatches=0.1):
+    """A random term with about ``n`` outputs and its biarity, where each
+    vcomp junction is off by one with probability ``mismatches``."""
+    kind = rng.random() if depth > 0 else 1.0
+    if kind < 0.3:
+        a = rng.randint(0, n)
+        left, (ln, lm) = oracle_term(rng, a, depth - 1, mismatches)
+        right, (rn, rm) = oracle_term(rng, n - a, depth - 1, mismatches)
+        return Tensor(left, right), (ln + rn, lm + rm)
+    if kind < 0.7:
+        parts = [oracle_term(rng, n, depth - 1, mismatches)]
+        for _ in range(rng.randint(1, 4)):
+            want = parts[-1][1][1]
+            if rng.random() < mismatches:
+                want = want + 1 if want == 0 or rng.random() < 0.5 else want - 1
+            parts.append(oracle_term(rng, want, depth - 1, mismatches))
+        nested = vcomp(*(t for t, _ in parts))
+        if len(parts) > 2 and rng.random() < 0.3:
+            nested = VComp(VComp(parts[0][0], parts[1][0]), vcomp(*(t for t, _ in parts[2:])))
+        return nested, (parts[0][1][0], parts[-1][1][1])
+    return oracle_strip(rng, n, depth)
+
+
+def layerize_outcome(f, t):
+    """The layered form, or the exception's type, message and arities."""
+    try:
+        return f(t)
+    except VCompArityMismatch as e:
+        return VCompArityMismatch, str(e), e.expected, e.found
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_layerize_matches_the_chain_fold():
+    rng = random.Random(13)
+    seen = {}
+    for i in range(3200):
+        t, _ = oracle_term(rng, rng.randint(0, 4), rng.randint(0, 4))
+        if i % 50 == 0:
+            t = rng.choice(NON_TERMS)
+        want = layerize_outcome(ref_layerize, t)
+        assert layerize_outcome(layerize, t) == want
+        kind = "ok" if isinstance(want, LayeredMonomial) else want[0]
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen.keys() == {"ok", TypeError, VCompArityMismatch}
+    assert min(seen.values()) >= 100
+
+
+def test_layerize_reports_the_lowest_mismatch_of_a_run():
+    # Each junction of the run is off: (expected, found) is (2, 1), (1, 2), (2, 3).
+    run = vcomp(Gen(MU), Gen(ALPHA), Gen(B), tensor(UnitLeaf(), UnitLeaf(), UnitLeaf()))
+    for f in (layerize, ref_layerize):
+        with pytest.raises(VCompArityMismatch) as exc:
+            f(run)
+        assert (exc.value.expected, exc.value.found) == (2, 3)
+    rng = random.Random(113)
+    multi = 0
+    for _ in range(300):
+        parts = [oracle_term(rng, rng.randint(0, 3), 1, mismatches=0) for _ in range(5)]
+        multi += sum(a[1][1] != b[1][0] for a, b in zip(parts, parts[1:])) >= 2
+        t = vcomp(*(t for t, _ in parts))
+        assert layerize_outcome(layerize, t) == layerize_outcome(ref_layerize, t)
+    assert multi >= 100
+
+
+def test_parsing_builds_each_monomial_once(monkeypatch):
+    from homprop.builtins import builtin
+    from homprop.serialize import presentation_from_json, presentation_to_json
+
+    p, _ = builtin("linf:5")
+    data = presentation_to_json(p)
+    built = []
+    post_init = LayeredMonomial.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(LayeredMonomial, "__post_init__", counting)
+    q = presentation_from_json(data)
+    monomials = [m for rel in q.relations for _, m in rel.terms]
+    assert len(monomials) == 353
+    assert len(built) == 353
+    assert q == p
+
+
+def test_wide_row_is_independent_of_bracketing():
+    rng = random.Random(2000)
+    parts = []
+    for _ in range(2000):
+        r = rng.random()
+        if r < 0.2:
+            parts.append(UnitLeaf())
+        elif r < 0.3:
+            parts.append(PermLeaf(transposition(2, 1, 2)))
+        else:
+            parts.append(Gen(rng.choice(ORACLE_GENS)))
+    left = parts[0]
+    for part in parts[1:]:
+        left = Tensor(left, part)
+    m = layerize(tensor(*parts))
+    assert layerize(left) == m
+    assert monomial_degree(m) == 1
+    assert len(m.layers[0].factors) == sum(2 if isinstance(t, PermLeaf) else 1 for t in parts)
