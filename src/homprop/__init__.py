@@ -13,103 +13,8 @@ The package is organized bottom-up:
 - ``twist``: the twisting constructions and classification helpers
 - ``corpus``: small worked example algebras
 - ``serialize``/``cli``: JSON file formats and the command-line interface
-"""
 
-from .perm import (
-    GradedTuple,
-    Permutation,
-    block_permutation,
-    chi_sign,
-    compose as perm_compose,
-    identity as perm_identity,
-    koszul_sign,
-    sign,
-    unshuffles,
-)
-from .term import (
-    UNIT,
-    Gen,
-    GeneratorSymbol,
-    Interlayer,
-    Layer,
-    LayeredMonomial,
-    LinearTerm,
-    PermLeaf,
-    Signature,
-    Tensor,
-    Term,
-    UnitLeaf,
-    UnitOccurrence,
-    VComp,
-    index_units,
-    infer_biarity,
-    layerize,
-    linear_term,
-    monomial_degree,
-    substitute,
-    tensor,
-    vcomp,
-)
-from .graphprop import (
-    DecoratedGraph,
-    corolla,
-    disjoint_union,
-    exceptional,
-    graft,
-    isomorphic,
-    term_to_graph,
-)
-from .presentation import (
-    HomPlan,
-    HomPresentation,
-    NormalityReport,
-    Presentation,
-    homify_multiplicative,
-    homify_typed,
-    is_normal,
-    projection_pi,
-    relations_match,
-    simplify_relation,
-    theta_max,
-    theta_min,
-)
-from .linalg import (
-    GradedSpace,
-    LinearMap,
-    char_poly,
-    compose,
-    identity_map,
-    is_injective,
-    make_map,
-    maps_equal,
-    perm_action,
-    rank,
-    tensor as tensor_map,
-    tensor_power,
-    zero_map,
-)
-from .algebra import (
-    CheckReport,
-    MorphismCheck,
-    StructureMap,
-    check_algebra,
-    eval_term,
-    is_morphism,
-    structure_map,
-)
-from .twist import (
-    BetaNotMorphism,
-    IsoWitnessResult,
-    NormalityViolated,
-    SNotI,
-    TwistResult,
-    conjugacy_invariant,
-    derived_sequence,
-    iso_witness_check,
-    transport_morphism,
-    twist,
-    yau_twist,
-)
-from . import builtins, corpus, serialize
+The package root re-exports nothing: callers import from the modules.
+"""
 
 __version__ = "0.1.0"

@@ -189,12 +189,12 @@ class _Evaluator:
 
     def monomial(self, mono: LayeredMonomial, shared: dict) -> Sparse:
         """The monomial's matrix, one input column at a time.  ``shared``
-        holds the steps and the bottom-gap inverses already built for the
-        current relation.
+        holds the steps already built for the current relation.
 
         Only the columns that the bottom layer does not send to zero are
         pushed: the products of its factors' nonzero columns, moved back
-        through the gap below it.
+        through the gap below it: slot ``j`` of a column is slot
+        ``images[j]`` of the product.
         """
         widths = [mono.top.width] + [layer.below.width for layer in mono.layers]
         if max(widths) > MAX_TENSOR_WIDTH:
@@ -217,10 +217,11 @@ class _Evaluator:
             unit = [(i,) for i in range(d)]
             supports = [unit if isinstance(f, UnitFactor) else self.tables[f]
                         for f in bottom.factors]
-            back = shared.get(("inverse", bottom.below.perm))
-            if back is None:
-                back = shared[("inverse", bottom.below.perm)] = bottom.below.perm.inverse()
-            cols = (back.apply(sum(pieces, ())) for pieces in itertools.product(*supports))
+            # ``cols`` is lazy and reads ``picks`` while the push loop
+            # below runs, so no name bound in that loop may be ``picks``.
+            picks = [i - 1 for i in bottom.below.perm.images]
+            products = (sum(pieces, ()) for pieces in itertools.product(*supports))
+            cols = (tuple(flat[i] for i in picks) for flat in products)
         else:
             cols = itertools.product(range(d), repeat=mono.in_arity)
         out: Sparse = {}

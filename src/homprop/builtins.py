@@ -311,12 +311,15 @@ def l_infinity(
     return p, plan
 
 
-def builtin(name: str) -> tuple[Presentation, Optional[HomPlan]]:
+def builtin(
+    name: str, sign_offset: int = DEFAULT_AINF_SIGN_OFFSET
+) -> tuple[Presentation, Optional[HomPlan]]:
     """Resolve a CLI builtin name to (presentation, canonical plan).
 
     Names: as, as-g:{e,12,23,a3,s3}, as-ii1, as-iii, nambu:n, bialgebra,
     ybe, ainf:N, linf:N.  Where no distinguished subset exists, the plan is
-    theta_min over the whole of I (or None when I is empty).
+    theta_min over the whole of I (or None when I is empty).  ``sign_offset``
+    reaches the ainf:/linf: towers only.
     """
     if name == "as":
         p = associativity()
@@ -338,9 +341,9 @@ def builtin(name: str) -> tuple[Presentation, Optional[HomPlan]]:
         p = ybe()
         return p, theta_min(p.labels)
     if name.startswith("ainf:"):
-        return a_infinity(int(name.split(":", 1)[1]))
+        return a_infinity(int(name.split(":", 1)[1]), sign_offset)
     if name.startswith("linf:"):
-        return l_infinity(int(name.split(":", 1)[1]))
+        return l_infinity(int(name.split(":", 1)[1]), sign_offset)
     raise ValueError(f"unknown builtin {name!r}")
 
 

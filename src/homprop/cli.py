@@ -4,7 +4,10 @@ Commands: check, homify, normality, twist, derived, yau-twist, morphism,
 iso-check, builtins, graph-dump.  All interchange is JSON with rationals as
 strings; reports are deterministic for identical inputs.
 
-Exit codes: 0 pass, 1 check failed, 2 precondition failed, 3 input error.
+Exit codes: 0 pass, 1 check failed, 2 precondition failed (a
+``twist.PreconditionFailed`` or a ``presentation.PlanError``), 3 input
+error.  ``_report`` writes every JSON report and turns its pass flag into
+the exit code; builtin names are resolved by ``builtins.builtin``.
 
 Twisting commands take the *base* presentation (--builtin or
 --presentation) together with --plan; the hom-ified presentation is rebuilt
@@ -44,11 +47,7 @@ from .serialize import (
     presentation_to_json,
 )
 from .twist import (
-    BetaNotMorphism,
-    NormalityViolated,
-    NotAnAlgebra,
     PreconditionFailed,
-    SNotI,
     conjugacy_invariant,
     derived_sequence,
     iso_witness_check,
@@ -77,25 +76,24 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path}: JSON nested too deeply") from e
 
 
-def _emit(report: Any, out: Optional[str]) -> None:
-    text = dumps(report)
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _report(report: Any, out: Optional[str], passed: bool = True) -> int:
+    """Write a JSON report; its exit code follows ``passed``."""
+    _write(dumps(report), out)
+    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+
+
 def _presentation(args) -> tuple[Presentation, Optional[HomPlan]]:
     if args.builtin and args.presentation:
         raise InputError("give either --builtin or --presentation, not both")
     if args.builtin:
-        name = args.builtin
-        offset = getattr(args, "ainf_sign_offset", 0) or 0
-        if name.startswith("ainf:"):
-            return stock.a_infinity(int(name.split(":", 1)[1]), offset)
-        if name.startswith("linf:"):
-            return stock.l_infinity(int(name.split(":", 1)[1]), offset)
-        return stock.builtin(name)
+        return stock.builtin(args.builtin, args.ainf_sign_offset)
     if args.presentation:
         return presentation_from_json(_load_json(args.presentation)), None
     raise InputError("a presentation is required (--builtin or --presentation)")
@@ -130,31 +128,32 @@ def cmd_check(args) -> int:
     p, _ = _presentation(args)
     lam = algebra_from_json(_load_json(args.algebra), p)
     report = check_algebra(lam, p)
-    _emit(
+    passed = report.all_passed()
+    return _report(
         {
             "command": "check",
-            "status": "pass" if report.all_passed() else "fail",
+            "status": "pass" if passed else "fail",
             "relations": _check_report(report),
         },
         args.out,
+        passed,
     )
-    return EXIT_PASS if report.all_passed() else EXIT_CHECK_FAILED
 
 
 def cmd_homify(args) -> int:
     p, default_plan = _presentation(args)
     plan = _plan(args, p, default_plan)
-    _emit(presentation_to_json(homify(p, plan)), args.out)
-    return EXIT_PASS
+    return _report(presentation_to_json(homify(p, plan)), args.out)
 
 
 def cmd_normality(args) -> int:
     p, _ = _presentation(args)
     report = is_normal(p)
-    _emit(
+    normal = report.all_normal()
+    return _report(
         {
             "command": "normality",
-            "status": "normal" if report.all_normal() else "not-normal",
+            "status": "normal" if normal else "not-normal",
             "relations": [
                 {
                     "index": e.relation_index,
@@ -166,19 +165,25 @@ def cmd_normality(args) -> int:
             ],
         },
         args.out,
+        normal,
     )
-    return EXIT_PASS if report.all_normal() else EXIT_CHECK_FAILED
 
 
-def _twist_report(result, command: str) -> Any:
-    return {
-        "command": command,
-        "status": "pass" if result.verified.all_passed() else "fail",
-        "relations": _check_report(result.verified),
-        "twisted": {
-            g.name: matrix_to_json(m) for g, m in result.twisted.assignments
+def _twist_report(result, command: str, out: Optional[str], **extra: Any) -> int:
+    passed = result.verified.all_passed()
+    return _report(
+        {
+            "command": command,
+            "status": "pass" if passed else "fail",
+            "relations": _check_report(result.verified),
+            "twisted": {
+                g.name: matrix_to_json(m) for g, m in result.twisted.assignments
+            },
+            **extra,
         },
-    }
+        out,
+        passed,
+    )
 
 
 def cmd_twist(args) -> int:
@@ -187,18 +192,14 @@ def cmd_twist(args) -> int:
     q = homify(p, plan)
     lam = algebra_from_json(_load_json(args.algebra), q)
     beta = endomorphism_from_json(_load_json(args.beta))
-    result = twist_structure(lam, beta, q)
-    _emit(_twist_report(result, "twist"), args.out)
-    return EXIT_PASS if result.verified.all_passed() else EXIT_CHECK_FAILED
+    return _twist_report(twist_structure(lam, beta, q), "twist", args.out)
 
 
 def cmd_derived(args) -> int:
     p, _ = _presentation(args)
     q = homify_multiplicative(p)
     lam = algebra_from_json(_load_json(args.algebra), q)
-    result = derived_sequence(lam, q, args.n)
-    _emit(_twist_report(result, "derived"), args.out)
-    return EXIT_PASS if result.verified.all_passed() else EXIT_CHECK_FAILED
+    return _twist_report(derived_sequence(lam, q, args.n), "derived", args.out)
 
 
 def cmd_yau_twist(args) -> int:
@@ -207,10 +208,8 @@ def cmd_yau_twist(args) -> int:
     lam = algebra_from_json(_load_json(args.algebra), p)
     beta = endomorphism_from_json(_load_json(args.beta))
     result, target = yau_twist(lam, beta, p, plan)
-    report = _twist_report(result, "yau-twist")
-    report["hom_presentation"] = presentation_to_json(target)
-    _emit(report, args.out)
-    return EXIT_PASS if result.verified.all_passed() else EXIT_CHECK_FAILED
+    return _twist_report(result, "yau-twist", args.out,
+                         hom_presentation=presentation_to_json(target))
 
 
 def cmd_morphism(args) -> int:
@@ -221,7 +220,7 @@ def cmd_morphism(args) -> int:
     )
     f = endomorphism_from_json(_load_json(args.beta))
     check = is_morphism(f, lam, rho, p)
-    _emit(
+    return _report(
         {
             "command": "morphism",
             "status": "pass" if check.holds else "fail",
@@ -233,8 +232,8 @@ def cmd_morphism(args) -> int:
             ),
         },
         args.out,
+        check.holds,
     )
-    return EXIT_PASS if check.holds else EXIT_CHECK_FAILED
 
 
 def cmd_iso_check(args) -> int:
@@ -250,7 +249,7 @@ def cmd_iso_check(args) -> int:
     beta2 = endomorphism_from_json(_load_json(args.beta2)) if args.beta2 else beta
     gamma = endomorphism_from_json(_load_json(args.gamma))
     result = iso_witness_check(gamma, lam, beta, rho, beta2, p, plan)
-    _emit(
+    return _report(
         {
             "command": "iso-check",
             "status": "pass" if result.is_witness else "fail",
@@ -260,8 +259,8 @@ def cmd_iso_check(args) -> int:
             "char_poly_beta2": [str(c) for c in conjugacy_invariant(beta2)],
         },
         args.out,
+        result.is_witness,
     )
-    return EXIT_PASS if result.is_witness else EXIT_CHECK_FAILED
 
 
 def cmd_builtins(args) -> int:
@@ -281,8 +280,7 @@ def cmd_builtins(args) -> int:
                 ],
             }
         )
-    _emit({"command": "builtins", "builtins": rows}, args.out)
-    return EXIT_PASS
+    return _report({"command": "builtins", "builtins": rows}, args.out)
 
 
 def cmd_graph_dump(args) -> int:
@@ -293,11 +291,7 @@ def cmd_graph_dump(args) -> int:
             g = term_to_graph(mono)
             chunks.append(f"relation {r} monomial {mi} coefficient {coef}")
             chunks.append(g.dump())
-    text = "\n".join(chunks) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(chunks) + "\n", args.out)
     return EXIT_PASS
 
 
@@ -387,8 +381,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SNotI, NormalityViolated, BetaNotMorphism, NotAnAlgebra,
-            PreconditionFailed, PlanError) as e:
+    except (PreconditionFailed, PlanError) as e:
         sys.stderr.write(f"precondition failed: {e}\n")
         return EXIT_PRECONDITION
     except (InputError, ParseError, ValueError, KeyError) as e:

@@ -14,9 +14,8 @@ monomial (``_walk``) gives the vertices and edges that grafting its rows
 would build; ``term_to_graph`` wraps them in a validated graph, and
 ``graft`` and ``disjoint_union`` remain as operations on graphs.  Because
 every port is labelled, the graphs are rigid: one breadth-first walk from
-the boundary (``_numbering``) numbers the vertices canonically
-(``canonical_order``), and two graphs are isomorphic exactly when their
-``canonical_key``s are equal.  ``monomial_key`` numbers the layer walk's
+the boundary (``_numbering``) numbers the vertices canonically, and two
+graphs are isomorphic exactly when their ``canonical_key``s are equal.  ``monomial_key`` numbers the layer walk's
 output directly, with no graph built: a monomial's widths meet and its
 layers admit no cycle, so there is nothing to validate.  A component
 without boundary ports cannot be reached by the numbering walk and is
@@ -267,11 +266,6 @@ def _numbering(n_out: int, n_in: int, decorations: tuple[GeneratorSymbol, ...],
         (d.name, d.out_arity, d.in_arity, d.degree) for d in (decorations[v] for v in order)
     )
     return order, ((n_out, n_in), key_decorations, tuple(renamed))
-
-
-def canonical_order(g: DecoratedGraph) -> tuple[int, ...]:
-    """The vertices of ``g`` in canonical order (see ``_numbering``)."""
-    return tuple(_numbering(g.n_out, g.n_in, g.decorations, g.edges)[0])
 
 
 def canonical_key(g: DecoratedGraph) -> tuple:

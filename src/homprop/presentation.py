@@ -22,9 +22,13 @@ from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
 from .graphprop import monomial_key
+from .perm import identity
 from .term import (
     UNIT,
     GeneratorSymbol,
+    Interlayer,
+    Layer,
+    LayeredMonomial,
     LinearTerm,
     Signature,
     UnitOccurrence,
@@ -131,9 +135,6 @@ def _replace_units(
 
 
 def _compatibility_relation(g: GeneratorSymbol, alpha: GeneratorSymbol) -> LinearTerm:
-    from .perm import identity
-    from .term import Interlayer, Layer, LayeredMonomial
-
     n, m = g.out_arity, g.in_arity
     first = LayeredMonomial(
         Interlayer(identity(n)),

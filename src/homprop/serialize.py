@@ -34,11 +34,9 @@ from .term import (
     LinearTerm,
     PermLeaf,
     Signature,
-    Tensor,
     Term,
     UnitFactor,
     UnitLeaf,
-    VComp,
     layerize,
     tensor as tensor_term,
     vcomp as vcomp_term,
@@ -83,19 +81,8 @@ def _list(v: Any, where: str) -> list:
 
 
 def term_to_json(t: Term | LayeredMonomial) -> Any:
-    if isinstance(t, LayeredMonomial):
-        return _monomial_to_json(t)
-    if isinstance(t, Gen):
-        return {"gen": t.symbol.name}
-    if isinstance(t, UnitLeaf):
-        return {"unit": True}
-    if isinstance(t, PermLeaf):
-        return {"perm": list(t.perm.images)}
-    if isinstance(t, Tensor):
-        return {"tensor": [term_to_json(t.left), term_to_json(t.right)]}
-    if isinstance(t, VComp):
-        return {"vcomp": [term_to_json(t.upper), term_to_json(t.lower)]}
-    raise TypeError(f"not a term: {t!r}")
+    """The layered form of a monomial: one row per layer and gap."""
+    return _monomial_to_json(layerize(t))
 
 
 def _gap_rows(gap: Interlayer) -> list[Any]:

@@ -52,13 +52,22 @@ from .presentation import (
 from .term import GeneratorSymbol
 
 
-class NormalityViolated(ValueError):
+class PreconditionFailed(ValueError):
+    """A hypothesis of a construction does not hold: the command line
+    reports every subclass as a precondition failure."""
+
+    def __init__(self, message: str, difference: Optional[LinearMap] = None):
+        self.difference = difference
+        super().__init__(message)
+
+
+class NormalityViolated(PreconditionFailed):
     def __init__(self, report: NormalityReport):
         self.report = report
         super().__init__("the underlying presentation is not normal")
 
 
-class BetaNotMorphism(ValueError):
+class BetaNotMorphism(PreconditionFailed):
     def __init__(self, check: MorphismCheck):
         self.check = check
         super().__init__(
@@ -66,7 +75,7 @@ class BetaNotMorphism(ValueError):
         )
 
 
-class SNotI(ValueError):
+class SNotI(PreconditionFailed):
     def __init__(self) -> None:
         super().__init__(
             "the hom-ification plan left some units untouched (S != I); "
@@ -74,16 +83,10 @@ class SNotI(ValueError):
         )
 
 
-class NotAnAlgebra(ValueError):
+class NotAnAlgebra(PreconditionFailed):
     def __init__(self, report: CheckReport):
         self.report = report
         super().__init__("the given structure map does not satisfy the presentation")
-
-
-class PreconditionFailed(ValueError):
-    def __init__(self, message: str, difference: Optional[LinearMap] = None):
-        self.difference = difference
-        super().__init__(message)
 
 
 @dataclass(frozen=True)

@@ -337,3 +337,33 @@ def test_eval_respects_graph_isomorphism_on_padding():
         Tensor(UnitLeaf(), Tensor(Gen(MU), UnitLeaf())),
     )
     assert maps_equal(eval_term(lam, padded), eval_term(lam, expanded))
+
+
+def test_tower_check_inverts_only_when_building_gap_steps(monkeypatch):
+    # A bottom gap's columns are read through its images; the only
+    # permutation inverses left are the one per distinct gap step built.
+    from homprop import algebra
+    from homprop.builtins import l_infinity
+    from homprop.corpus import odd_heisenberg_dgla
+
+    counts = {"inverse": 0, "gap": 0, "inverse_in_gap": 0}
+    inverse, gap = Permutation.inverse, algebra._Evaluator._gap
+
+    def counting_inverse(self):
+        counts["inverse"] += 1
+        return inverse(self)
+
+    def counting_gap(self, perm):
+        counts["gap"] += 1
+        before = counts["inverse"]
+        step = gap(self, perm)
+        counts["inverse_in_gap"] += counts["inverse"] - before
+        return step
+
+    p, _ = l_infinity(5)
+    lam = odd_heisenberg_dgla(5)
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    monkeypatch.setattr(algebra._Evaluator, "_gap", counting_gap)
+    assert check_algebra(lam, p).all_passed()
+    assert counts["gap"] > 0
+    assert counts["inverse"] == counts["inverse_in_gap"] == counts["gap"]

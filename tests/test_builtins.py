@@ -146,6 +146,14 @@ def test_builtin_names_resolve():
         builtin("nope")
 
 
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_builtin_towers_take_the_sign_offset(n, offset):
+    # Presentation and plan both, as the command line resolves them.
+    assert builtin(f"ainf:{n}", offset) == a_infinity(n, offset)
+    assert builtin(f"linf:{n}", offset) == l_infinity(n, offset)
+
+
 def test_frozen_sign_offset():
     assert frozen_sign_offset() == 0
 

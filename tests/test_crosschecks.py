@@ -19,7 +19,7 @@ from homprop.linalg import (
 )
 from homprop.perm import Permutation
 from homprop.presentation import HomPlan, Presentation, homify_typed
-from homprop.serialize import space_from_json, space_to_json
+from homprop.serialize import space_from_json, space_to_json, term_from_json, term_to_json
 from homprop.term import (
     Gen,
     GeneratorSymbol,
@@ -182,6 +182,17 @@ def test_sparse_evaluation_scales_rational_tables():
             nonzero += 1
     assert compared >= 200 and rational >= 25 and nonzero >= 40, (compared, rational, nonzero)
     assert rational_max >= 25, rational_max
+
+
+def test_raw_term_json_is_its_layered_form():
+    rng = random.Random(57)
+    signature = Signature(GENERATORS)
+    for _ in range(200):
+        t = random_monomial(rng)
+        mono = layerize(t)
+        data = term_to_json(t)
+        assert data == term_to_json(mono)
+        assert layerize(term_from_json(data, signature)) == mono
 
 
 def test_graph_dump_golden():

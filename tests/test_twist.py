@@ -44,6 +44,7 @@ from homprop.perm import sign
 from homprop.presentation import homify_multiplicative, homify_typed, theta_min
 from homprop.twist import (
     BetaNotMorphism,
+    NormalityViolated,
     NotAnAlgebra,
     PreconditionFailed,
     SNotI,
@@ -271,6 +272,11 @@ def test_transport_morphism_commuting_precondition():
     with pytest.raises(PreconditionFailed) as exc:
         transport_morphism(f, lam, beta, lam, beta2, q)
     assert exc.value.difference is not None
+
+
+@pytest.mark.parametrize("refusal", [SNotI, NormalityViolated, BetaNotMorphism, NotAnAlgebra])
+def test_twist_refusals_are_precondition_failures(refusal):
+    assert issubclass(refusal, PreconditionFailed)
 
 
 def test_iso_witness_identity():
