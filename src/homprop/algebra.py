@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 from .linalg import (
-    MAX_TENSOR_WIDTH,
     GradedSpace,
     LinearMap,
     ShapeMismatch,
-    TensorWidthExceeded,
+    check_width,
     compose,
     maps_equal,
     tensor_power,
@@ -57,12 +56,15 @@ class MissingAssignment(KeyError):
 @dataclass(frozen=True)
 class StructureMap:
     """Candidate morphism from a presented PROP into the endomorphism PROP
-    of ``space``, given on generators."""
+    of ``space``, given on generators.  ``by_symbol`` indexes the maps by
+    generator; for a repeated generator the first entry wins."""
 
     space: GradedSpace
     assignments: tuple[tuple[GeneratorSymbol, LinearMap], ...]
+    by_symbol: dict[GeneratorSymbol, LinearMap] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        by_symbol: dict[GeneratorSymbol, LinearMap] = {}
         for g, m in self.assignments:
             if (m.source, m.source_power) != (self.space, g.in_arity) or (
                 m.target, m.target_power
@@ -72,18 +74,17 @@ class StructureMap:
                 raise ValueError(
                     f"assignment for {g!r} has degree {m.degree}, expected {g.degree}"
                 )
+            by_symbol.setdefault(g, m)
+        object.__setattr__(self, "by_symbol", by_symbol)
 
     def __getitem__(self, g: GeneratorSymbol) -> LinearMap:
-        for sym, m in self.assignments:
-            if sym == g:
-                return m
-        raise MissingAssignment(f"no assignment for {g!r}")
+        m = self.by_symbol.get(g)
+        if m is None:
+            raise MissingAssignment(f"no assignment for {g!r}")
+        return m
 
     def get(self, g: GeneratorSymbol) -> Optional[LinearMap]:
-        for sym, m in self.assignments:
-            if sym == g:
-                return m
-        return None
+        return self.by_symbol.get(g)
 
     def symbols(self) -> tuple[GeneratorSymbol, ...]:
         return tuple(g for g, _ in self.assignments)
@@ -91,9 +92,7 @@ class StructureMap:
     def with_assignments(
         self, new: Mapping[GeneratorSymbol, LinearMap]
     ) -> "StructureMap":
-        pairs = tuple((g, new.get(g, m)) for g, m in self.assignments)
-        extra = tuple((g, m) for g, m in new.items() if self.get(g) is None)
-        return StructureMap(self.space, pairs + extra)
+        return structure_map(self.space, {**self.by_symbol, **new})
 
 
 def structure_map(
@@ -137,7 +136,7 @@ class _Evaluator:
         self.space = lam.space
         self.tables: dict[GeneratorSymbol, Table] = {}
         self.dens: dict[GeneratorSymbol, int] = {}
-        for g, m in lam.assignments:
+        for g, m in lam.by_symbol.items():
             self.tables[g], self.dens[g] = _column_table(m)
         self.degrees = lam.space.basis_degrees()
         self.graded = any(d % 2 for d in self.degrees)
@@ -196,10 +195,7 @@ class _Evaluator:
         through the gap below it: slot ``j`` of a column is slot
         ``images[j]`` of the product.
         """
-        widths = [mono.top.width] + [layer.below.width for layer in mono.layers]
-        if max(widths) > MAX_TENSOR_WIDTH:
-            raise TensorWidthExceeded(
-                f"tensor width {max(widths)} exceeds cap {MAX_TENSOR_WIDTH}")
+        check_width(max([mono.top.width] + [layer.below.width for layer in mono.layers]))
         rows = [(mono.top.perm, self._gap)]
         for layer in mono.layers:
             rows.append((layer.factors, self._layer))

@@ -311,6 +311,15 @@ def l_infinity(
     return p, plan
 
 
+def _size(name: str) -> int:
+    """The size after the colon of ``nambu:n``, ``ainf:N`` or ``linf:N``:
+    plain ASCII decimal digits, so no sign, space, ``_`` or other script."""
+    size = name.split(":", 1)[1]
+    if not (size.isascii() and size.isdigit()):
+        raise ValueError(f"unknown builtin {name!r}")
+    return int(size)
+
+
 def builtin(
     name: str, sign_offset: int = DEFAULT_AINF_SIGN_OFFSET
 ) -> tuple[Presentation, Optional[HomPlan]]:
@@ -332,7 +341,7 @@ def builtin(
     if name == "as-iii":
         return as_variant(AsVariant.III)
     if name.startswith("nambu:"):
-        return nambu(int(name.split(":", 1)[1]))
+        return nambu(_size(name))
     if name == "bialgebra":
         return bialgebra(), theta_min((1, 2, 3, 4))
     if name == "bialgebra-generalized":
@@ -341,9 +350,9 @@ def builtin(
         p = ybe()
         return p, theta_min(p.labels)
     if name.startswith("ainf:"):
-        return a_infinity(int(name.split(":", 1)[1]), sign_offset)
+        return a_infinity(_size(name), sign_offset)
     if name.startswith("linf:"):
-        return l_infinity(int(name.split(":", 1)[1]), sign_offset)
+        return l_infinity(_size(name), sign_offset)
     raise ValueError(f"unknown builtin {name!r}")
 
 

@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--builtin", help="builtin presentation name")
         p_.add_argument("--out", help="write the JSON report here")
         p_.add_argument(
-            "--ainf-sign-offset", type=int, choices=(0, 1), default=0,
+            "--ainf-sign-offset", type=int, choices=(0, 1),
+            default=stock.DEFAULT_AINF_SIGN_OFFSET,
             help="sign convention toggle for the ainf:/linf: builtins",
         )
         if algebra:

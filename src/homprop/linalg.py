@@ -56,6 +56,12 @@ class TensorWidthExceeded(ValueError):
     """Tensor power beyond the documented dense-matrix cap."""
 
 
+def check_width(width: int) -> None:
+    """Refuse a tensor power wider than ``MAX_TENSOR_WIDTH``."""
+    if width > MAX_TENSOR_WIDTH:
+        raise TensorWidthExceeded(f"tensor width {width} exceeds cap {MAX_TENSOR_WIDTH}")
+
+
 @dataclass(frozen=True)
 class GradedSpace:
     """Finite-dimensional Z-graded space given by degree -> dimension."""
@@ -91,8 +97,7 @@ class GradedSpace:
 
 def tensor_degrees(space: GradedSpace, power: int) -> tuple[int, ...]:
     """Degrees of the basis of ``space^{(x)power}`` in lexicographic order."""
-    if power > MAX_TENSOR_WIDTH:
-        raise TensorWidthExceeded(f"tensor width {power} exceeds cap {MAX_TENSOR_WIDTH}")
+    check_width(power)
     single = space.basis_degrees()
     degs = [0]
     for _ in range(power):
@@ -188,9 +193,8 @@ def make_map(
 
 
 def identity_map(space: GradedSpace, power: int = 1) -> LinearMap:
+    check_width(power)
     n = space.dim ** power
-    if power > MAX_TENSOR_WIDTH:
-        raise TensorWidthExceeded(f"tensor width {power} exceeds cap {MAX_TENSOR_WIDTH}")
     rows = tuple(
         tuple(Fraction(1) if r == c else Fraction(0) for c in range(n)) for r in range(n)
     )
@@ -246,8 +250,7 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     target = f.target if f.target_power else g.target
     sp = f.source_power + g.source_power
     tp = f.target_power + g.target_power
-    if sp > MAX_TENSOR_WIDTH or tp > MAX_TENSOR_WIDTH:
-        raise TensorWidthExceeded(f"tensor width {max(sp, tp)} exceeds cap {MAX_TENSOR_WIDTH}")
+    check_width(max(sp, tp))
     f_src_degs = tensor_degrees(f.source, f.source_power)
     odd = g.degree % 2
     f_rows = [[(c, -v if odd and f_src_degs[c] % 2 else v) for c, v in _nonzero(row)]
@@ -280,8 +283,7 @@ def tensor_power(f: LinearMap, k: int) -> LinearMap:
 def perm_action(p: Permutation, space: GradedSpace) -> LinearMap:
     """Signed permutation matrix moving tensor slot ``i`` to slot ``p(i)``."""
     n = p.n
-    if n > MAX_TENSOR_WIDTH:
-        raise TensorWidthExceeded(f"tensor width {n} exceeds cap {MAX_TENSOR_WIDTH}")
+    check_width(n)
     d = space.dim
     degs = space.basis_degrees()
     size = d ** n

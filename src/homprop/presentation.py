@@ -34,7 +34,6 @@ from .term import (
     UnitOccurrence,
     index_units,
     monomial_degree,
-    substitute,
     substitute_all,
 )
 
@@ -311,25 +310,11 @@ def relations_match(r1: LinearTerm, r2: LinearTerm) -> bool:
     return relation_key(r1) == relation_key(r2)
 
 
-def presentation_matches(
-    p: Presentation, q: Presentation, *, rename: Optional[dict[str, str]] = None
-) -> bool:
-    """Same generators (up to optional renaming) and matching relation sets."""
-    names = {g.name: g for g in p.signature.generators}
-    if rename:
-        renamed = {}
-        for name, g in names.items():
-            new = rename.get(name, name)
-            renamed[new] = GeneratorSymbol(new, g.out_arity, g.in_arity, g.degree)
-        names = renamed
-    if names != {g.name: g for g in q.signature.generators}:
+def presentation_matches(p: Presentation, q: Presentation) -> bool:
+    """Same generators and matching relation sets."""
+    if p.signature.by_name != q.signature.by_name:
         return False
     if len(p.relations) != len(q.relations):
         return False
-    mapping = {
-        g: GeneratorSymbol(rename.get(g.name, g.name), g.out_arity, g.in_arity, g.degree)
-        for g in p.signature.generators
-    } if rename else None
-    mine = [substitute(rel, mapping) for rel in p.relations] if mapping else p.relations
-    return all(map(relations_match, sorted(mine, key=relation_key),
+    return all(map(relations_match, sorted(p.relations, key=relation_key),
                    sorted(q.relations, key=relation_key)))

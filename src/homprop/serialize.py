@@ -125,7 +125,8 @@ def term_from_json(data: Any, signature: Signature) -> Term:
              data)
     ((kind, value),) = data.items()
     if kind == "gen":
-        _require(value in signature, "unknown generator {!r}", value)
+        # Only a string is looked up: a list or an object cannot be hashed.
+        _require(isinstance(value, str) and value in signature, "unknown generator {!r}", value)
         return Gen(signature[value])
     if kind == "unit":
         _require(value is True, "unit node must be {{\"unit\": true}}, got {!r}", data)

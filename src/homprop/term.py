@@ -31,7 +31,7 @@ collapse when the representation is canonicalized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -68,21 +68,22 @@ class GeneratorSymbol:
 
 @dataclass(frozen=True)
 class Signature:
+    """Generators in their given order, indexed by name in ``by_name``."""
+
     generators: tuple[GeneratorSymbol, ...]
+    by_name: dict[str, GeneratorSymbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
+        by_name = {g.name: g for g in self.generators}
+        if len(by_name) != len(self.generators):
+            raise ValueError(f"duplicate generator names in {[g.name for g in self.generators]}")
+        object.__setattr__(self, "by_name", by_name)
 
     def __getitem__(self, name: str) -> GeneratorSymbol:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise KeyError(name)
+        return self.by_name[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(g.name == name for g in self.generators)
+        return name in self.by_name
 
     def extend(self, extra: Sequence[GeneratorSymbol]) -> "Signature":
         return Signature(self.generators + tuple(extra))

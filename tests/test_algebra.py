@@ -6,6 +6,7 @@ import pytest
 
 from homprop.algebra import (
     MissingAssignment,
+    StructureMap,
     check_algebra,
     eval_term,
     is_morphism,
@@ -34,6 +35,7 @@ from homprop.presentation import homify_typed, theta_min
 from homprop.term import (
     Gen,
     GeneratorSymbol,
+    Signature,
     Tensor,
     UnitLeaf,
     VComp,
@@ -237,6 +239,29 @@ def test_missing_assignment_raises():
     lam = structure_map(DUAL_SPACE, {})
     with pytest.raises(MissingAssignment):
         eval_term(lam, p.relations[0])
+
+
+def test_lookups_do_not_scan():
+    class Counted(tuple):
+        iterations = 0
+
+        def __iter__(self):
+            self.iterations += 1
+            return super().__iter__()
+
+    gens = [GeneratorSymbol(f"g{i}", 1, 1) for i in range(50)]
+    signature = Signature(Counted(gens))
+    lam = StructureMap(DUAL_SPACE, Counted((g, identity_map(DUAL_SPACE)) for g in gens))
+    built = (signature.generators.iterations, lam.assignments.iterations)
+    for i in range(1000):
+        g = gens[i % len(gens)]
+        assert signature[g.name] is g and g.name in signature
+        assert lam[g] is lam.get(g) is not None
+    assert "missing" not in signature
+    assert lam.get(GeneratorSymbol("missing", 1, 1)) is None
+    extended = lam.with_assignments({gens[0]: identity_map(DUAL_SPACE)})
+    assert (signature.generators.iterations, lam.assignments.iterations) == built
+    assert extended.symbols() == tuple(gens)
 
 
 def test_relation_with_values_in_two_degree_blocks_is_refused():

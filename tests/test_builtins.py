@@ -2,6 +2,7 @@ import pytest
 
 from homprop.algebra import check_algebra, structure_map
 from homprop.builtins import (
+    DEFAULT_AINF_SIGN_OFFSET,
     AsVariant,
     SubgroupTag,
     a_infinity,
@@ -156,6 +157,7 @@ def test_builtin_towers_take_the_sign_offset(n, offset):
 
 def test_frozen_sign_offset():
     assert frozen_sign_offset() == 0
+    assert DEFAULT_AINF_SIGN_OFFSET == frozen_sign_offset()
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,35 @@ def test_malformed_term_node_is_an_input_error(tmp_path, capsys, node):
     assert err.startswith("input error: ") and repr(node) in err
 
 
+@pytest.mark.parametrize("name", [["mu"], {"a": 1}])
+def test_unhashable_generator_name_is_an_input_error(tmp_path, capsys, name):
+    # A list or an object cannot be looked up by name; it is still unknown.
+    pres = write(tmp_path, "p.json", {
+        "generators": [{"name": "mu", "out": 1, "in": 2}],
+        "relations": [[{"coef": "1", "monomial": {"gen": name}}]],
+    })
+    assert main(["normality", "--presentation", pres]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: unknown generator {name!r}\n"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("ainf: 3", "unknown builtin 'ainf: 3'"),
+    ("ainf:+3", "unknown builtin 'ainf:+3'"),
+    ("ainf:1_0", "unknown builtin 'ainf:1_0'"),
+    ("ainf:\u0663", "unknown builtin 'ainf:\u0663'"),
+    ("linf:0", "l_infinity needs N >= 1, got 0"),
+    ("nambu:1", "nambu needs n >= 2, got 1"),
+])
+def test_builtin_sizes_are_plain_decimal_digits(capsys, name, message):
+    # int() would read the first four as 3, 3, 10 and 3.
+    assert main(["normality", "--builtin", name]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     # 600 nested vcomps are about 1,200 JSON levels, too deep for json.loads.
     depth = 600

@@ -290,10 +290,19 @@ def test_is_normal_counterexample():
 
 
 def test_presentation_matches_with_rename():
+    # Renaming is the caller's substitution: the twisting generator differs
+    # by name only, so the pair matches exactly when it is renamed.
     p = associativity()
     q_typed = homify_typed(p, theta_min(p.labels, name="twister"))
     q_ref = homify_typed(p, theta_min(p.labels))
-    assert presentation_matches(q_typed, q_ref, rename={"twister": "alpha"})
+    (twister,), (alpha,) = q_typed.twisting, q_ref.twisting
+    assert (twister.name, alpha.name) == ("twister", "alpha")
+    renamed = Presentation(q_ref.signature, apply_substitution_to_relations(
+        q_typed.relations, {twister: alpha}))
+    assert not presentation_matches(q_typed, q_ref)
+    assert not presentation_matches(q_ref, q_typed)
+    assert presentation_matches(renamed, q_ref)
+    assert presentation_matches(q_ref, renamed)
 
 
 def _shuffled(p: Presentation, rng: random.Random) -> Presentation:
