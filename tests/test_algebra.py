@@ -264,6 +264,16 @@ def test_lookups_do_not_scan():
     assert extended.symbols() == tuple(gens)
 
 
+def test_repeated_generator_first_entry_wins():
+    # Lookup and evaluation read the same mapping, so they agree.
+    g = GeneratorSymbol("g", 1, 1)
+    first = identity_map(DUAL_SPACE)
+    second = make_map(DUAL_SPACE, DUAL_SPACE, [[0, 0], [1, 0]])
+    lam = StructureMap(DUAL_SPACE, ((g, first), (g, second)))
+    assert lam[g] is first
+    assert maps_equal(eval_term(lam, Gen(g)), first)
+
+
 def test_relation_with_values_in_two_degree_blocks_is_refused():
     # A non-normal relation a + b with |a| = 0 and |b| = 1: its monomials
     # have nonzero values in two degree blocks, so their sum is no
