@@ -1,23 +1,22 @@
 """Algebras over a presented PROP: structure maps, evaluation, checking.
 
-A structure map assigns to each generator an exact matrix of the right
-shape and homological degree.  Terms evaluate by layerizing first and then
-pushing basis tuples bottom-up through the rows of the layered monomial.
-Each generator becomes a column table (input basis tuple -> nonzero
-``(output tuple, coefficient)`` pairs) of integers times one denominator:
-the table holds ``den * v``, with ``den`` the lcm of the map's entry
-denominators.  A permutation gap moves the slots of a tuple with its Koszul
-sign, and a layer applies its factors side by side, factor ``j`` picking up
-``(-1)^(|f_j| * sum of the degrees of the inputs left of j)``.  These are
-the signs of :func:`linalg.tensor` and :func:`linalg.perm_action`, so the
-result equals the dense matrix fold while only ever touching nonzero
-entries, and every pushed coefficient is an ``int``.  A sum weighs each
-monomial by its coefficient over the product of its generators' ``den``,
-brought to one common denominator ``L``, so its value stays a sparse
-integer matrix over ``L``.  A relation check reads its verdict off that
-sum: the largest ``|entry| / L``, which is zero exactly when the relation
-holds; no tolerances exist anywhere.  Only :func:`eval_term` divides by
-``L`` and builds a dense ``LinearMap``.
+A structure map assigns to each generator an exact map of the right shape
+and homological degree.  Terms evaluate by layerizing first and then
+pushing basis tuples bottom-up through the rows of the layered monomial,
+reading each generator's integer columns (``LinearMap.columns``, over its
+denominator ``den``) as they are stored.  A permutation gap moves the slots
+of a tuple with its Koszul sign, and a layer applies its factors side by
+side, factor ``j`` picking up ``(-1)^(|f_j| * sum of the degrees of the
+inputs left of j)``.  These are the signs of :func:`linalg.tensor` and
+:func:`linalg.perm_action`, so the result equals the fold of products and
+tensors while only ever touching nonzero entries, and every pushed
+coefficient is an ``int``.  A sum weighs each monomial by its coefficient
+over the product of its generators' ``den``, brought to one common
+denominator ``L``, so its value stays a sparse integer matrix over ``L``.
+A relation check reads its verdict off that sum: the largest
+``|entry| / L``, which is zero exactly when the relation holds; no
+tolerances exist anywhere.  Only :func:`eval_term` builds a ``LinearMap``,
+handing the sum and ``L`` to :func:`linalg.from_columns`.
 """
 from __future__ import annotations
 
@@ -28,11 +27,13 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 from .linalg import (
+    Basis,
     GradedSpace,
     LinearMap,
     ShapeMismatch,
     check_width,
     compose,
+    from_columns,
     maps_equal,
     tensor_power,
 )
@@ -101,32 +102,14 @@ def structure_map(
     return StructureMap(space, tuple(assignments.items()))
 
 
-Basis = tuple[int, ...]
 # A step sends one basis tuple to its nonzero images.
 Step = Callable[[Basis], tuple[tuple[Basis, int], ...]]
-# A column table: input tuple -> its nonzero (output tuple, coefficient) pairs.
-Table = dict[Basis, tuple[tuple[Basis, int], ...]]
 # A sparse matrix: (output tuple, input tuple) -> nonzero coefficient.
 Sparse = dict[tuple[Basis, Basis], int]
 
 
-def _column_table(m: LinearMap) -> tuple[Table, int]:
-    """``m`` as ``(table, den)``: ``den`` is the lcm of the entries'
-    denominators and the table holds the integers ``v * den``."""
-    den = math.lcm(*(v.denominator for row in m.entries for v in row if v))
-    ins = list(itertools.product(range(m.source.dim), repeat=m.source_power))
-    outs = list(itertools.product(range(m.target.dim), repeat=m.target_power))
-    table: dict[Basis, list[tuple[Basis, int]]] = {}
-    for r, row in enumerate(m.entries):
-        for c, v in enumerate(row):
-            if v:
-                table.setdefault(ins[c], []).append(
-                    (outs[r], v.numerator * (den // v.denominator)))
-    return {col: tuple(images) for col, images in table.items()}, den
-
-
 class _Evaluator:
-    """The column tables of one structure map, built once per call.
+    """Evaluates terms under one structure map, reading its maps' columns.
 
     Within one relation, a row (a gap or a layer) met in several monomials
     is one step with one memo of its per-tuple images.
@@ -134,10 +117,7 @@ class _Evaluator:
 
     def __init__(self, lam: StructureMap) -> None:
         self.space = lam.space
-        self.tables: dict[GeneratorSymbol, Table] = {}
-        self.dens: dict[GeneratorSymbol, int] = {}
-        for g, m in lam.by_symbol.items():
-            self.tables[g], self.dens[g] = _column_table(m)
+        self.maps = lam.by_symbol
         self.degrees = lam.space.basis_degrees()
         self.graded = any(d % 2 for d in self.degrees)
 
@@ -160,10 +140,10 @@ class _Evaluator:
                 spans.append((pos, pos + 1, None, 0))
                 pos += 1
                 continue
-            table = self.tables.get(f)
-            if table is None:
+            m = self.maps.get(f)
+            if m is None:
                 raise MissingAssignment(f"no assignment for generator {f!r}")
-            spans.append((pos, pos + f.in_arity, table, f.degree % 2))
+            spans.append((pos, pos + f.in_arity, m.columns, f.degree % 2))
             pos += f.in_arity
         degrees = self.degrees
 
@@ -211,7 +191,7 @@ class _Evaluator:
         if mono.layers:
             bottom = mono.layers[-1]
             unit = [(i,) for i in range(d)]
-            supports = [unit if isinstance(f, UnitFactor) else self.tables[f]
+            supports = [unit if isinstance(f, UnitFactor) else self.maps[f].columns
                         for f in bottom.factors]
             # ``cols`` is lazy and reads ``picks`` while the push loop
             # below runs, so no name bound in that loop may be ``picks``.
@@ -243,7 +223,7 @@ class _Evaluator:
         """The value of a sum (a bare monomial is a one-term sum) as
         ``(total, L, degree)``: the value is ``total / L``.
 
-        The tables hold ``den_g`` times each generator map, so monomial
+        The columns hold ``den_g`` times each generator map, so monomial
         ``m`` is pushed as ``prod den_g`` times its value and enters the sum
         with the scale ``coef_m / prod den_g``.  With ``L`` the lcm of the
         scales' denominators, the integer weights ``scale_m * L`` keep the
@@ -252,7 +232,8 @@ class _Evaluator:
         degree, so the value is homogeneous by construction.
         """
         terms = t.terms if isinstance(t, LinearTerm) else ((1, layerize(t)),)
-        scales = [Fraction(coef) / math.prod(self.dens.get(g, 1) for g in mono.generators())
+        scales = [Fraction(coef) / math.prod(self.maps[g].den for g in mono.generators()
+                                             if g in self.maps)
                   for coef, mono in terms]
         lcm = math.lcm(*(scale.denominator for scale in scales))
         shared: dict = {}
@@ -282,21 +263,11 @@ def eval_term(
     if not isinstance(t, LinearTerm):
         t = layerize(t)
     total, den, degree = _Evaluator(lam).term(t)
-    n, m = t.biarity
-    d = lam.space.dim
-
-    def index(tup: Basis) -> int:
-        i = 0
-        for x in tup:
-            i = i * d + x
-        return i
-
-    zero = Fraction(0)
-    entries = [[zero] * d ** m for _ in range(d ** n)]
+    columns: dict[Basis, list[tuple[Basis, int]]] = {}
     for (row, col), v in total.items():
-        entries[index(row)][index(col)] = Fraction(v, den)
-    return LinearMap(lam.space, m, lam.space, n, degree,
-                     tuple(tuple(row) for row in entries))
+        columns.setdefault(col, []).append((row, v))
+    n, m = t.biarity
+    return from_columns(lam.space, m, lam.space, n, degree, den, columns)
 
 
 @dataclass(frozen=True)

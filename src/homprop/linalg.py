@@ -1,19 +1,16 @@
 """Exact rational, Z-graded finite-dimensional linear algebra.
 
 This is the carrier of the endomorphism PROP: objects are tensor powers of a
-graded space, morphisms are dense matrices of ``fractions.Fraction``.  No
-floating point appears anywhere; equality of maps is entrywise rational
-equality.
+graded space, morphisms are :class:`LinearMap` values.  No floating point
+appears anywhere; equality of maps is exact rational equality.
 
-Matrices are dense.  Relation checks neither fold nor build them: they
-push basis tuples through sparse integer column tables and read each
-verdict off the sparse sum (see :mod:`homprop.algebra`).  Dense products
-and tensors remain for morphism checks, the twisting constructions and the
-exact linear algebra (rank, inverse, characteristic polynomial);
-:func:`compose` and :func:`tensor` list each row's nonzero entries once and
-multiply only nonzero pairs, so their cost follows the nonzero entries
-rather than the matrix sizes.  Widths beyond ``MAX_TENSOR_WIDTH`` are
-refused with a clear error.
+A map stores integer columns over one denominator ``den``: each input basis
+tuple with a nonzero image lists its nonzero ``(output tuple, integer)``
+pairs.  :func:`from_columns` keeps every map in lowest terms, so equal maps
+are equal values, and every operation multiplies only nonzero integers.
+The dense ``Fraction`` rows of :attr:`LinearMap.entries` are derived, for
+serialization and the exact rank, inverse and characteristic polynomial.
+Widths beyond ``MAX_TENSOR_WIDTH`` are refused with a clear error.
 
 Basis conventions, fixed once and relied on by every golden file:
 
@@ -39,9 +36,10 @@ so the anomaly never reaches them.  See :func:`interchange_sign`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .perm import Permutation, koszul_sign
 
@@ -53,7 +51,7 @@ class ShapeMismatch(ValueError):
 
 
 class TensorWidthExceeded(ValueError):
-    """Tensor power beyond the documented dense-matrix cap."""
+    """Tensor power beyond the documented width cap."""
 
 
 def check_width(width: int) -> None:
@@ -105,13 +103,28 @@ def tensor_degrees(space: GradedSpace, power: int) -> tuple[int, ...]:
     return tuple(degs)
 
 
+Basis = tuple[int, ...]
+
+
+def _index(tup: Basis, dim: int) -> int:
+    """Position of a basis tuple in the lexicographic basis order."""
+    i = 0
+    for x in tup:
+        i = i * dim + x
+    return i
+
+
 @dataclass(frozen=True)
 class LinearMap:
-    """Homogeneous map ``source^{(x)m} -> target^{(x)n}`` as a dense matrix.
+    """Homogeneous map ``source^{(x)m} -> target^{(x)n}`` as integer columns
+    over one denominator.
 
-    ``entries[r][c]`` is the coefficient of target basis element ``r`` in the
-    image of source basis element ``c``.  Entries must vanish outside the
-    blocks allowed by the declared ``degree``.
+    The coefficient of target basis tuple ``r`` in the image of source basis
+    tuple ``c`` is ``v / den`` when ``(r, v)`` is listed in ``columns[c]``,
+    and zero otherwise.  :func:`from_columns` and :func:`make_map` build maps
+    in lowest terms.  ``columns`` takes part in equality but not in the hash,
+    as a dict has none.  Entries must vanish outside the blocks allowed by
+    the declared ``degree``.
     """
 
     source: GradedSpace
@@ -119,38 +132,52 @@ class LinearMap:
     target: GradedSpace
     target_power: int
     degree: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    den: int
+    columns: dict[Basis, tuple[tuple[Basis, int], ...]] = field(hash=False)
 
     def __post_init__(self) -> None:
-        rows = self.target.dim ** self.target_power
-        cols = self.source.dim ** self.source_power
-        if len(self.entries) != rows or any(len(row) != cols for row in self.entries):
-            raise ShapeMismatch(f"matrix must be {rows}x{cols}")
-        src = tensor_degrees(self.source, self.source_power)
-        tgt = tensor_degrees(self.target, self.target_power)
-        for r, row in enumerate(self.entries):
-            for c, v in enumerate(row):
-                if v != 0 and tgt[r] != src[c] + self.degree:
-                    raise ValueError(
-                        f"entry ({r},{c}) breaks homogeneity: "
-                        f"target degree {tgt[r]} != {src[c]} + {self.degree}"
-                    )
+        check_width(max(self.source_power, self.target_power))
+        src, tgt = self.source.basis_degrees(), self.target.basis_degrees()
+        bad = []
+        for c, images in self.columns.items():
+            want = sum(map(src.__getitem__, c)) + self.degree
+            bad += [(r, c) for r, _ in images if sum(map(tgt.__getitem__, r)) != want]
+        if bad:
+            r, c = min(bad)  # the first offender in row-major order
+            raise ValueError(
+                f"entry ({_index(r, self.target.dim)},{_index(c, self.source.dim)}) "
+                f"breaks homogeneity: target degree {sum(tgt[i] for i in r)} != "
+                f"{sum(src[i] for i in c)} + {self.degree}"
+            )
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self.target.dim ** self.target_power
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.source.dim ** self.source_power
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense matrix: ``entries[r][c]`` is the coefficient of target
+        basis element ``r`` in the image of source basis element ``c``."""
+        rows = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        for c, images in self.columns.items():
+            j = _index(c, self.source.dim)
+            for r, v in images:
+                rows[_index(r, self.target.dim)][j] = Fraction(v, self.den)
+        return tuple(tuple(row) for row in rows)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        return not self.columns
 
     def scale(self, c: Fraction) -> "LinearMap":
-        return LinearMap(
+        return from_columns(
             self.source, self.source_power, self.target, self.target_power, self.degree,
-            tuple(tuple(c * v for v in row) for row in self.entries),
+            self.den * c.denominator,
+            {col: [(r, v * c.numerator) for r, v in images]
+             for col, images in self.columns.items()},
         )
 
     def add(self, other: "LinearMap") -> "LinearMap":
@@ -161,13 +188,14 @@ class LinearMap:
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ShapeMismatch(f"cannot add degrees {self.degree} and {other.degree}")
         deg = other.degree if self.is_zero() else self.degree
-        return LinearMap(
-            self.source, self.source_power, self.target, self.target_power, deg,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        den = math.lcm(self.den, other.den)
+        both: dict[Basis, list[tuple[Basis, int]]] = {}
+        for m in (self, other):
+            w = den // m.den
+            for c, images in m.columns.items():
+                both.setdefault(c, []).extend((r, w * v) for r, v in images)
+        return from_columns(self.source, self.source_power, self.target, self.target_power,
+                            deg, den, both)
 
     def __repr__(self) -> str:
         return (
@@ -176,8 +204,25 @@ class LinearMap:
         )
 
 
-def _as_fraction_rows(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
+def from_columns(source: GradedSpace, source_power: int, target: GradedSpace, target_power: int,
+                 degree: int, den: int,
+                 columns: Mapping[Basis, Iterable[tuple[Basis, int]]]) -> LinearMap:
+    """The map whose entry at ``(r, c)`` is the sum of the ``v`` of the pairs
+    ``(r, v)`` listed under ``c``, over ``den > 0``, in lowest terms: zeros
+    are dropped, columns and images sorted, and the gcd of ``den`` and all
+    entries divided out."""
+    table = {}
+    for c in sorted(columns):
+        sums: dict[Basis, int] = {}
+        for r, v in columns[c]:
+            sums[r] = sums.get(r, 0) + v
+        images = tuple(sorted(pair for pair in sums.items() if pair[1]))
+        if images:
+            table[c] = images
+    g = math.gcd(den, *(v for images in table.values() for _, v in images))
+    if g > 1:
+        table = {c: tuple((r, v // g) for r, v in images) for c, images in table.items()}
+    return LinearMap(source, source_power, target, target_power, degree, den // g, table)
 
 
 def make_map(
@@ -189,50 +234,46 @@ def make_map(
     target_power: int = 1,
     degree: int = 0,
 ) -> LinearMap:
-    return LinearMap(source, source_power, target, target_power, degree, _as_fraction_rows(rows))
+    """The map with the dense matrix ``rows`` (as :attr:`LinearMap.entries`);
+    each entry is anything ``Fraction`` accepts."""
+    n_rows, n_cols = target.dim ** target_power, source.dim ** source_power
+    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
+        raise ShapeMismatch(f"matrix must be {n_rows}x{n_cols}")
+    values = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+    den = math.lcm(*(v.denominator for row in values for v in row))
+    ins = list(itertools.product(range(source.dim), repeat=source_power))
+    columns: dict[Basis, list[tuple[Basis, int]]] = {}
+    for r, row in zip(itertools.product(range(target.dim), repeat=target_power), values):
+        for c, v in zip(ins, row):
+            if v:
+                columns.setdefault(c, []).append((r, v.numerator * (den // v.denominator)))
+    return from_columns(source, source_power, target, target_power, degree, den, columns)
 
 
 def identity_map(space: GradedSpace, power: int = 1) -> LinearMap:
     check_width(power)
-    n = space.dim ** power
-    rows = tuple(
-        tuple(Fraction(1) if r == c else Fraction(0) for c in range(n)) for r in range(n)
-    )
-    return LinearMap(space, power, space, power, 0, rows)
+    basis = itertools.product(range(space.dim), repeat=power)
+    return from_columns(space, power, space, power, 0, 1, {c: ((c, 1),) for c in basis})
 
 
 def zero_map(
     source: GradedSpace, source_power: int, target: GradedSpace, target_power: int, degree: int = 0
 ) -> LinearMap:
-    rows = tuple(
-        tuple(Fraction(0) for _ in range(source.dim ** source_power))
-        for _ in range(target.dim ** target_power)
-    )
-    return LinearMap(source, source_power, target, target_power, degree, rows)
-
-
-def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(c, v) for c, v in enumerate(row) if v]
+    return from_columns(source, source_power, target, target_power, degree, 1, {})
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """Matrix product ``f . g`` (apply ``g`` first).  Degrees add.
 
-    Each output row sums the nonzero rows ``g[k]`` weighted by the nonzero
-    entries ``f[r][k]``; zero entries are never multiplied.
+    Each column of ``g`` sums the columns of ``f`` at its nonzero entries,
+    weighted by them; zero entries are never multiplied.
     """
     if (f.source, f.source_power) != (g.target, g.target_power):
         raise ShapeMismatch(f"cannot compose {f} after {g}")
-    g_rows = [_nonzero(row) for row in g.entries]
-    zero = Fraction(0)
-    rows = []
-    for frow in f.entries:
-        row = [zero] * g.cols
-        for k, a in _nonzero(frow):
-            for c, b in g_rows[k]:
-                row[c] += a * b
-        rows.append(tuple(row))
-    return LinearMap(g.source, g.source_power, f.target, f.target_power, f.degree + g.degree, tuple(rows))
+    out = {c: [(r, a * b) for k, b in images for r, a in f.columns.get(k, ())]
+           for c, images in g.columns.items()}
+    return from_columns(g.source, g.source_power, f.target, f.target_power,
+                        f.degree + g.degree, f.den * g.den, out)
 
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -240,7 +281,7 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
 
     The column indexed by ``x (x) y`` carries the factor ``(-1)^(|g| |x|)``
     where ``|x|`` is the degree of the source basis element fed to ``f``.
-    Only products of two nonzero entries are written into zero rows.
+    Only products of two nonzero entries are formed.
     """
     if f.source_power and g.source_power and f.source != g.source:
         raise ShapeMismatch("tensor of maps over different source spaces")
@@ -251,29 +292,20 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     sp = f.source_power + g.source_power
     tp = f.target_power + g.target_power
     check_width(max(sp, tp))
-    f_src_degs = tensor_degrees(f.source, f.source_power)
+    degs = f.source.basis_degrees()
     odd = g.degree % 2
-    f_rows = [[(c, -v if odd and f_src_degs[c] % 2 else v) for c, v in _nonzero(row)]
-              for row in f.entries]
-    g_rows = [_nonzero(row) for row in g.entries]
-    width = g.cols
-    zero_row = [Fraction(0)] * (f.cols * width)
-    rows = []
-    for frow in f_rows:
-        for grow in g_rows:
-            row = list(zero_row)
-            for cf, a in frow:
-                base = cf * width
-                for cg, b in grow:
-                    row[base + cg] = a * b
-            rows.append(tuple(row))
-    return LinearMap(source, sp, target, tp, f.degree + g.degree, tuple(rows))
+    out = {}
+    for cf, f_images in f.columns.items():
+        sign = -1 if odd and sum(degs[i] for i in cf) % 2 else 1
+        for cg, g_images in g.columns.items():
+            out[cf + cg] = [(rf + rg, sign * a * b) for rf, a in f_images for rg, b in g_images]
+    return from_columns(source, sp, target, tp, f.degree + g.degree, f.den * g.den, out)
 
 
 def tensor_power(f: LinearMap, k: int) -> LinearMap:
     if k == 0:
         # The empty tensor: the unique map on the 0-th tensor power.
-        return LinearMap(f.source, 0, f.target, 0, 0, ((Fraction(1),),))
+        return from_columns(f.source, 0, f.target, 0, 0, 1, {(): (((), 1),)})
     out = f
     for _ in range(k - 1):
         out = tensor(out, f)
@@ -284,18 +316,11 @@ def perm_action(p: Permutation, space: GradedSpace) -> LinearMap:
     """Signed permutation matrix moving tensor slot ``i`` to slot ``p(i)``."""
     n = p.n
     check_width(n)
-    d = space.dim
     degs = space.basis_degrees()
-    size = d ** n
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for col, src_tuple in enumerate(itertools.product(range(d), repeat=n)):
-        tgt_tuple = p.apply(src_tuple)
-        row = 0
-        for idx in tgt_tuple:
-            row = row * d + idx
-        s = koszul_sign(p, [degs[i] for i in src_tuple])
-        rows[row][col] = Fraction(s)
-    return LinearMap(space, n, space, n, 0, tuple(tuple(r) for r in rows))
+    return from_columns(space, n, space, n, 0, 1, {
+        c: ((p.apply(c), koszul_sign(p, [degs[i] for i in c])),)
+        for c in itertools.product(range(space.dim), repeat=n)
+    })
 
 
 def _echelon(rows: list[list[Fraction]]) -> int:
@@ -346,8 +371,8 @@ def inverse_map(f: LinearMap) -> LinearMap:
     # on the diagonal.
     if any(aug[r][r] == 0 for r in range(n)):
         raise ValueError("map is singular")
-    entries = tuple(tuple(aug[r][n:]) for r in range(n))
-    return LinearMap(f.target, f.target_power, f.source, f.source_power, -f.degree, entries)
+    return make_map(f.target, f.source, [aug[r][n:] for r in range(n)],
+                    source_power=f.target_power, target_power=f.source_power, degree=-f.degree)
 
 
 def matrix_power(f: LinearMap, k: int) -> LinearMap:
@@ -388,8 +413,8 @@ def interchange_sign(b: LinearMap, c: LinearMap) -> int:
 
 
 def maps_equal(f: LinearMap, g: LinearMap) -> bool:
-    return (
-        f.rows == g.rows and f.cols == g.cols and
-        all(a == b for r1, r2 in zip(f.entries, g.entries) for a, b in zip(r1, r2))
-    )
+    """Entrywise equality of two maps between the same tensor powers of
+    spaces of the same dimensions; the gradings and degrees are not compared."""
+    return (f.source.dim, f.source_power, f.target.dim, f.target_power, f.den, f.columns) == (
+        g.source.dim, g.source_power, g.target.dim, g.target_power, g.den, g.columns)
 

@@ -626,3 +626,94 @@ def test_in_process_calls_do_not_share_options(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["derived", "--builtin", "as", "--algebra", mult, "--n", "1"]) == 0
     assert capsys.readouterr().out == first != third
+
+
+@pytest.mark.parametrize("out_in, dims, matrix, message", [
+    # Entries (0,1) and (1,0) both break homogeneity; the row-major first is named.
+    ((1, 1), {"0": 1, "1": 1}, [["0", "1"], ["1", "0"]],
+     "entry (0,1) breaks homogeneity: target degree 0 != 1 + 0"),
+    ((1, 1), {"0": 1, "1": 1}, [["1", "0"], ["0"]], "matrix must be 2x2"),
+    ((1, 1), {"0": 1, "1": 1}, [["1", "0"]], "matrix must be 2x2"),
+    ((1, 9), {"0": 1}, [["1"]], "tensor width 9 exceeds cap 8"),
+])
+def test_map_input_errors_keep_their_text(tmp_path, capsys, out_in, dims, matrix, message):
+    pres = write(tmp_path, "p.json", {
+        "generators": [{"name": "f", "out": out_in[0], "in": out_in[1], "degree": 0}],
+        "relations": [],
+    })
+    algebra = write(tmp_path, "a.json", {"space": {"dims": dims}, "maps": {"f": matrix}})
+    assert main(["check", "--presentation", pres, "--algebra", algebra]) == 3
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+def test_morphism_report_golden_dual_numbers_diag21(tmp_path):
+    # diag(2, 1) doubles the unit e, while mu(2e, 2e) = 4e: not a morphism.
+    algebra = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
+    space = dual_numbers().space
+    beta = write(tmp_path, "diag.json",
+                 endomorphism_to_json(make_map(space, space, [[2, 0], [0, 1]])))
+    out = tmp_path / "report.json"
+    argv = ["morphism", "--builtin", "as", "--algebra", algebra, "--beta", beta, "--out", str(out)]
+    assert main(argv) == 1
+    assert out.read_text() == "\n".join([
+        "{",
+        '  "command": "morphism",',
+        '  "difference": [',
+        "    [",
+        '      "-2",',
+        '      "0",',
+        '      "0",',
+        '      "0"',
+        "    ],",
+        "    [",
+        '      "0",',
+        '      "-1",',
+        '      "-1",',
+        '      "0"',
+        "    ]",
+        "  ],",
+        '  "status": "fail",',
+        '  "witness_generator": "mu"',
+        "}",
+        "",
+    ])
+
+
+def test_yau_twist_report_golden_flip_ybe(tmp_path):
+    algebra = write(tmp_path, "flip.json", algebra_to_json(flip_ybe()))
+    beta = write(tmp_path, "beta.json", endomorphism_to_json(flip_beta()))
+    out = tmp_path / "report.json"
+    assert main(["yau-twist", "--builtin", "ybe", "--plan", "multiplicative",
+                 "--algebra", algebra, "--beta", beta, "--out", str(out)]) == 0
+
+    def gen(name):
+        return {"gen": name}
+
+    def row(*names):
+        return {"tensor": [gen(n) for n in names]}
+
+    def rel(left, right):
+        return [{"coef": "1", "monomial": {"vcomp": left}},
+                {"coef": "-1", "monomial": {"vcomp": right}}]
+
+    ab, ba = row("alpha", "braiding"), row("braiding", "alpha")
+    expected = {
+        "command": "yau-twist",
+        "hom_presentation": {
+            "generators": [{"degree": 0, "in": 2, "name": "braiding", "out": 2},
+                           {"degree": 0, "in": 1, "name": "alpha", "out": 1}],
+            "relations": [
+                rel([gen("braiding"), row("alpha", "alpha")],
+                    [row("alpha", "alpha"), gen("braiding")]),
+                rel([ab, ba, ab], [ba, ab, ba]),
+            ],
+        },
+        "relations": [{"index": i, "max_abs_entry": "0", "passed": True} for i in (0, 1)],
+        "status": "pass",
+        "twisted": {
+            "alpha": [["1", "1"], ["0", "1"]],
+            "braiding": [["1", "1", "1", "1"], ["0", "0", "1", "1"],
+                         ["0", "1", "0", "1"], ["0", "0", "0", "1"]],
+        },
+    }
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -296,3 +297,31 @@ def test_compose_and_tensor_match_naive_formulas_sparse_graded():
                 v and degs[c] % 2 for row in f.entries for c, v in enumerate(row)):
             signed += 1
     assert signed >= 10, signed
+
+
+def test_maps_are_stored_in_lowest_terms():
+    rng = random.Random(1717)
+    spaces = (MIXED, GradedSpace.from_dims({-1: 1, 0: 1, 1: 1}), GradedSpace.from_dims({0: 2, 1: 1}))
+    outcomes = set()
+    for _ in range(200):
+        space = rng.choice(spaces)
+        k, m, n = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+        a, b = rng.randint(-1, 1), rng.randint(-1, 1)
+        f = sparse_homogeneous_map(rng, space, k, n, a)
+        c = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+        assert make_map(space, space, f.entries, source_power=k, target_power=n, degree=a) == f
+        assert f.scale(c).scale(1 / c) == f
+        zero = f.add(f.scale(-1))
+        assert zero.is_zero() and zero.den == 1 and zero.columns == {}
+        g = rng.choice((sparse_homogeneous_map(rng, space, k, n, a), f.scale(c).scale(1 / c)))
+        assert maps_equal(f, g) == (f.entries == g.entries)
+        outcomes.add(maps_equal(f, g))
+        h = sparse_homogeneous_map(rng, space, m, k, b)
+        for out in (f, g, f.scale(c), f.add(g), compose(f, h), tensor(f, h)):
+            assert list(out.columns) == sorted(out.columns)
+            for images in out.columns.values():
+                assert images and [r for r, _ in images] == sorted(r for r, _ in images)
+                assert all(type(v) is int and v != 0 for _, v in images)
+            values = (v for images in out.columns.values() for _, v in images)
+            assert out.den >= 1 and math.gcd(out.den, *values) == 1
+    assert outcomes == {True, False}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from homprop.algebra import structure_map
+from homprop.algebra import check_algebra, is_morphism, structure_map
 from homprop.builtins import (
     AsVariant,
     SubgroupTag,
@@ -33,6 +33,7 @@ from homprop.corpus import (
     sl2_gamma,
 )
 from homprop.linalg import (
+    LinearMap,
     compose,
     identity_map,
     inverse_map,
@@ -41,6 +42,7 @@ from homprop.linalg import (
     matrix_power,
 )
 from homprop.perm import sign
+from homprop.serialize import matrix_to_json
 from homprop.presentation import homify_multiplicative, homify_typed, theta_min
 from homprop.twist import (
     BetaNotMorphism,
@@ -355,3 +357,19 @@ def test_yau_twist_is_the_twist_of_the_identity_twisted_structure():
         assert yau.twisted.symbols() == via_twist.symbols(), entry.name
         for g, m in yau.twisted.assignments:
             assert m.entries == via_twist[g].entries, (entry.name, g)
+
+
+def test_checks_morphisms_and_twists_read_no_dense_rows(monkeypatch):
+    """Only serialization, rank, inverse_map and char_poly read ``entries``."""
+    reads = []
+    dense = LinearMap.entries
+    monkeypatch.setattr(LinearMap, "entries", property(lambda m: reads.append(m) or dense.fget(m)))
+    for entry in corpus():
+        lam, beta = entry.algebra(), entry.betas[0]()
+        assert check_algebra(lam, entry.presentation).all_passed(), entry.name
+        assert is_morphism(beta, lam, lam, entry.presentation).holds, entry.name
+        yau, target = yau_twist(lam, beta, entry.presentation, entry.plan)
+        assert twist(yau.twisted, beta, target).verified.all_passed(), entry.name
+    assert reads == []
+    matrix_to_json(beta)  # the count does see a read
+    assert len(reads) == 1
