@@ -301,7 +301,8 @@ def test_compose_and_tensor_match_naive_formulas_sparse_graded():
 
 def test_maps_are_stored_in_lowest_terms():
     rng = random.Random(1717)
-    spaces = (MIXED, GradedSpace.from_dims({-1: 1, 0: 1, 1: 1}), GradedSpace.from_dims({0: 2, 1: 1}))
+    spaces = (MIXED, GradedSpace.from_dims({-1: 1, 0: 1, 1: 1}),
+              GradedSpace.from_dims({0: 2, 1: 1}))
     outcomes = set()
     for _ in range(200):
         space = rng.choice(spaces)

@@ -42,8 +42,8 @@ from homprop.linalg import (
     matrix_power,
 )
 from homprop.perm import sign
-from homprop.serialize import matrix_to_json
 from homprop.presentation import homify_multiplicative, homify_typed, theta_min
+from homprop.serialize import matrix_to_json
 from homprop.twist import (
     BetaNotMorphism,
     NormalityViolated,
