@@ -6,7 +6,8 @@ strings; reports are deterministic for identical inputs.
 
 Exit codes: 0 pass, 1 check failed, 2 precondition failed (a
 ``twist.PreconditionFailed`` or a ``presentation.PlanError``), 3 input
-error.  ``_report`` writes every JSON report and turns its pass flag into
+error, 4 internal error (an ``AssertionError``, such as a twist that
+fails verification although its preconditions hold).  ``_report`` writes every JSON report and turns its pass flag into
 the exit code; builtin names are resolved by ``builtins.builtin``.
 
 Twisting commands take the *base* presentation (--builtin or
@@ -59,6 +60,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -388,6 +390,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, ParseError, ValueError, KeyError) as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
+    except AssertionError as e:
+        sys.stderr.write(f"internal error: {e}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

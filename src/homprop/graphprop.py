@@ -10,16 +10,17 @@ parallel strands and no vertices is ``exceptional(n)``.
 Horizontal composition is disjoint union, vertical composition grafting;
 the unit and all permutations become bare strands, so interchange-equival-
 ent terms lower to isomorphic graphs.  One walk over the layers of a
-monomial (``_walk``) gives the vertices and edges that grafting its rows
-would build; ``term_to_graph`` wraps them in a validated graph, and
-``graft`` and ``disjoint_union`` remain as operations on graphs.  Because
-every port is labelled, the graphs are rigid: one breadth-first walk from
-the boundary (``_numbering``) numbers the vertices canonically, and two
-graphs are isomorphic exactly when their ``canonical_key``s are equal.  ``monomial_key`` numbers the layer walk's
-output directly, with no graph built: a monomial's widths meet and its
-layers admit no cycle, so there is nothing to validate.  A component
-without boundary ports cannot be reached by the numbering walk and is
-refused with ValueError.
+monomial (``_walk``) fills the port tables of its graph: which endpoint
+sits across the edge from each port, with every endpoint an int.
+``term_to_graph`` builds a validated graph from those tables, and ``graft``
+and ``disjoint_union`` remain as operations on graphs.  Because every port
+is labelled, the graphs are rigid: one breadth-first walk over the tables
+from the boundary (``_numbering``) numbers the vertices canonically, and
+two graphs are isomorphic exactly when their ``canonical_key``s are equal.
+``monomial_key`` numbers the tables of the layer walk directly, with no
+graph built: a monomial's widths meet and its layers admit no cycle, so
+there is nothing to validate.  A component without boundary ports cannot
+be reached by the numbering walk and is refused with ValueError.
 """
 from __future__ import annotations
 
@@ -171,108 +172,140 @@ def graft(upper: DecoratedGraph, lower: DecoratedGraph) -> DecoratedGraph:
     )
 
 
-def _walk(m: Term | LayeredMonomial) -> tuple[int, int, tuple[GeneratorSymbol, ...], list]:
-    """``(n_out, n_in, decorations, edges)`` of the graph of a monomial.
+# Inside the walk and the numbering an endpoint is an int: graph input or
+# output k is -k, and port p of vertex v is v * S + p, where the stride S
+# exceeds every arity.  A port table is a flat list of V * S + n entries for
+# V vertices and n graph ports, so negative indexing puts graph port k at
+# entry V * S + n - k, after every vertex port.
+Tables = tuple  # (n_out, n_in, decorations, S, above, below)
 
-    One walk over the layers from the top down keeps, for each open wire,
-    the terminal endpoint above it.  A generator's output ports take edges
-    to the endpoints of its wires and its input ports become the new
-    endpoints; a unit passes its endpoint straight down, and a gap permutes
-    the endpoints.  Vertices are numbered bottom layer first, left to right
-    within a layer, the order in which grafting the rows would number them.
+
+def _stride(decorations: tuple[GeneratorSymbol, ...]) -> int:
+    return 1 + max([max(d.out_arity, d.in_arity) for d in decorations], default=0)
+
+
+def _walk(m: Term | LayeredMonomial) -> Tables:
+    """The port tables of the graph of a monomial, filled in one walk.
+
+    ``above`` takes each initial endpoint (a graph input or a vertex output
+    port) to the terminal endpoint of its edge, ``below`` each terminal
+    endpoint (a graph output or a vertex input port) to its initial one.
+    The walk goes over the layers from the top down and keeps, for each
+    open wire, the terminal endpoint above it.  A generator's output ports
+    are joined to the endpoints of its wires and its input ports become the
+    new endpoints; a unit passes its endpoint straight down, and a gap
+    permutes the endpoints.  Vertices are numbered bottom layer first, left
+    to right within a layer, the order in which grafting the rows would
+    number them.
     """
     mono = layerize(m)
     rows = [[f for f in layer.factors if isinstance(f, GeneratorSymbol)]
             for layer in mono.layers]
-    first = sum(map(len, rows))
-    ends: list[Endpoint] = [("out", j) for j in mono.top.perm.images]
-    edges: list[tuple[Endpoint, Endpoint]] = []
+    decorations = tuple(g for row in reversed(rows) for g in row)
+    S = _stride(decorations)
+    first = len(decorations) * S
+    ends = [-j for j in mono.top.perm.images]
+    n_out = len(ends)
+    above = [0] * first
+    below = [0] * (first + n_out)
     for layer, row in zip(mono.layers, rows):
-        first -= len(row)
-        v, w = first, 0
-        inputs: list[Endpoint] = []
+        first -= len(row) * S
+        port, w = first, 0
+        inputs: list[int] = []
         for f in layer.factors:
-            if isinstance(f, UnitFactor):
+            if not isinstance(f, GeneratorSymbol):
                 inputs.append(ends[w])
                 w += 1
                 continue
-            for p in range(1, f.out_arity + 1):
-                edges.append((("vo", v, p), ends[w]))
+            for p in range(port + 1, port + f.out_arity + 1):
+                e = ends[w]
+                above[p] = e
+                below[e] = p
                 w += 1
-            inputs += [("vi", v, q) for q in range(1, f.in_arity + 1)]
-            v += 1
+            inputs.extend(range(port + 1, port + f.in_arity + 1))
+            port += S
         ends = [inputs[i - 1] for i in layer.below.perm.images]
-    edges.extend((("in", i), e) for i, e in enumerate(ends, start=1))
-    decorations = tuple(g for row in reversed(rows) for g in row)
-    return mono.out_arity, mono.in_arity, decorations, edges
+    above += reversed(ends)  # entry -i is graph input i
+    for i, e in enumerate(ends, start=1):
+        below[e] = -i
+    return n_out, len(ends), decorations, S, above, below
+
+
+def _tables(g: DecoratedGraph) -> Tables:
+    """The port tables of a graph, indexed from its edges."""
+    S = _stride(g.decorations)
+    size = len(g.decorations) * S
+    above = [0] * (size + g.n_in)
+    below = [0] * (size + g.n_out)
+    for a, b in g.edges:  # boundary endpoints are pairs, vertex ports triples
+        x = -a[1] if len(a) == 2 else a[1] * S + a[2]
+        y = -b[1] if len(b) == 2 else b[1] * S + b[2]
+        above[x] = y
+        below[y] = x
+    return g.n_out, g.n_in, g.decorations, S, above, below
 
 
 def term_to_graph(m: Term | LayeredMonomial) -> DecoratedGraph:
     """Lower a monomial to its decorated graph, validated; permutations and
     units leave no vertices."""
-    n_out, n_in, decorations, edges = _walk(m)
-    return DecoratedGraph(n_out, n_in, decorations, frozenset(edges))
+    n_out, n_in, decorations, S, above, _ = _walk(m)
+    size, n = len(decorations) * S, len(above)
+    edges = frozenset(  # no endpoint is 0, so a 0 entry is an unused slot
+        (("vo", x // S, x % S) if x < size else ("in", n - x),
+         ("vi", y // S, y % S) if y > 0 else ("out", -y))
+        for x, y in enumerate(above) if y)
+    return DecoratedGraph(n_out, n_in, decorations, edges)
 
 
 def _numbering(n_out: int, n_in: int, decorations: tuple[GeneratorSymbol, ...],
-               edges) -> tuple[list[int], tuple]:
+               S: int, above: list[int], below: list[int]) -> tuple[list[int], tuple]:
     """The canonical vertex order of a graph and its canonical key.
 
-    The edges are first indexed by port: the endpoint across from output
-    ``p`` and from input ``q`` of each vertex, from graph output ``j`` and
-    from graph input ``i``.  A breadth-first walk then enters from outputs
-    1..n, then from inputs 1..m; at each vertex it follows the output
-    ports, then the input ports, in port order, and numbers vertices by
-    first visit.  Ports are labelled, so an isomorphism carries this order
-    of one graph onto that of the other.  A component with no boundary
-    port is never reached: ValueError.
+    A breadth-first walk over the port tables enters from outputs 1..n,
+    then from inputs 1..m; at each vertex it follows the output ports, then
+    the input ports, in port order, and numbers vertices by first visit.
+    Ports are labelled, so an isomorphism carries this order of one graph
+    onto that of the other.  A component with no boundary port is never
+    reached: ValueError.
 
-    The key is the biarity, the decorations in that order and the edge
-    list renumbered by it.  Initial endpoints are distinct, so listing the
-    graph inputs, then each vertex's output ports in order, gives the edges
-    already sorted.
+    The key is the biarity, the ``(name, out, in, degree)`` decorations in
+    that order and the terminal endpoints of the edges, renumbered by it,
+    listed from the graph inputs, then from each vertex's output ports in
+    order.  The initial endpoints of that list follow from the biarity and
+    the decorations, and equal decorations give equal strides, so the key
+    determines the graph up to isomorphism.
     """
-    below_out: list = [None] * n_out
-    above_in: list = [None] * n_in
-    above_vo: list[list] = [[None] * d.out_arity for d in decorations]
-    below_vi: list[list] = [[None] * d.in_arity for d in decorations]
-    for a, b in edges:  # boundary endpoints are pairs, vertex ports triples
-        if len(a) == 2:
-            above_in[a[1] - 1] = b
-        else:
-            above_vo[a[1]][a[2] - 1] = b
-        if len(b) == 2:
-            below_out[b[1] - 1] = a
-        else:
-            below_vi[b[1]][b[2] - 1] = a
+    size = len(decorations) * S
     order: list[int] = []
     number = [-1] * len(decorations)
-    frontier = [below_out, above_in]
+    frontier = [below[size:][::-1], above[size:][::-1]]
     for ends in frontier:  # the walk appends to ``frontier`` while it runs
         for e in ends:
-            if len(e) == 3 and number[e[1]] < 0:
-                v = e[1]
+            if e > 0 and number[e // S] < 0:
+                v = e // S
                 number[v] = len(order)
                 order.append(v)
-                frontier += (above_vo[v], below_vi[v])
+                d, p = decorations[v], v * S + 1
+                frontier += (above[p:p + d.out_arity], below[p:p + d.in_arity])
     if len(order) != len(decorations):
         raise ValueError("a graph component without boundary ports has no canonical form")
 
-    renamed = [(("in", i), e) for i, e in enumerate(above_in, start=1)]
-    for k, v in enumerate(order):
-        renamed += [(("vo", k, p), e) for p, e in enumerate(above_vo[v], start=1)]
-    renamed = [(a, b if len(b) == 2 else ("vi", number[b[1]], b[2])) for a, b in renamed]
-    key_decorations = tuple(
-        (d.name, d.out_arity, d.in_arity, d.degree) for d in (decorations[v] for v in order)
-    )
-    return order, ((n_out, n_in), key_decorations, tuple(renamed))
+    # frontier[1] is above the graph inputs, frontier[2::2] above each
+    # vertex's output ports in canonical order.
+    shift = [(k - v) * S for v, k in enumerate(number)]
+    ports = tuple([e if e < 0 else e + shift[e // S]
+                   for ends in (frontier[1], *frontier[2::2]) for e in ends])
+    key_decorations = tuple([
+        (d.name, d.out_arity, d.in_arity, d.degree) for d in map(decorations.__getitem__, order)
+    ])
+    return order, ((n_out, n_in), key_decorations, ports)
 
 
 def canonical_key(g: DecoratedGraph) -> tuple:
     """A hashable, sortable key that is equal exactly for isomorphic graphs:
-    the biarity, the decorations in canonical order and the sorted edge
-    list renumbered by that order."""
-    return _numbering(g.n_out, g.n_in, g.decorations, g.edges)[1]
+    the biarity, the decorations in canonical order and the edges
+    renumbered by that order."""
+    return _numbering(*_tables(g))[1]
 
 
 def monomial_key(m: Term | LayeredMonomial) -> tuple:
@@ -288,8 +321,8 @@ def isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> Optional[dict[int, int]]
     Graph input/output port labels must correspond identically; vertex ports
     must match index by index.
     """
-    order_a, key_a = _numbering(a.n_out, a.n_in, a.decorations, a.edges)
-    order_b, key_b = _numbering(b.n_out, b.n_in, b.decorations, b.edges)
+    order_a, key_a = _numbering(*_tables(a))
+    order_b, key_b = _numbering(*_tables(b))
     if key_a != key_b:
         return None
     return dict(zip(order_a, order_b))

@@ -93,16 +93,6 @@ class GradedSpace:
         return tuple(out)
 
 
-def tensor_degrees(space: GradedSpace, power: int) -> tuple[int, ...]:
-    """Degrees of the basis of ``space^{(x)power}`` in lexicographic order."""
-    check_width(power)
-    single = space.basis_degrees()
-    degs = [0]
-    for _ in range(power):
-        degs = [d + s for d in degs for s in single]
-    return tuple(degs)
-
-
 Basis = tuple[int, ...]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Literal, Optional, Sequence, Union
 
 from .graphprop import monomial_key
@@ -277,31 +278,37 @@ def is_normal(p: Presentation) -> NormalityReport:
 # Relation comparison modulo graph isomorphism
 
 
-def _grouped(rel: LinearTerm) -> dict[tuple, list]:
-    """Canonical graph key -> [summed coefficient, first monomial with that key]."""
+def _grouped(terms) -> dict[tuple, list]:
+    """Canonical graph key -> [summed coefficient, first monomial with that
+    key], over ``(coefficient, monomial)`` pairs."""
     groups: dict[tuple, list] = {}
-    for coef, mono in rel.terms:
+    for coef, mono in terms:
         groups.setdefault(monomial_key(mono), [0, mono])[0] += coef
     return groups
 
 
 def simplify_relation(rel: LinearTerm) -> Optional[LinearTerm]:
     """Combine graph-isomorphic monomials; None if everything cancels."""
-    remaining = tuple((c, m) for c, m in _grouped(rel).values() if c != 0)
+    remaining = tuple((c, m) for c, m in _grouped(rel.terms).values() if c != 0)
     if not remaining:
         return None
     return LinearTerm(remaining)
 
 
 def relation_key(rel: LinearTerm) -> tuple:
-    """The sorted (graph key, coefficient) pairs of the simplified relation,
-    divided by the leading coefficient; () if everything cancels.  Two
-    relations match exactly when their keys are equal."""
-    pairs = sorted((key, c) for key, (c, _) in _grouped(rel).items() if c != 0)
+    """The sorted (graph key, int coefficient) pairs of the simplified
+    relation, scaled to coprime integers with a positive first coefficient;
+    () if everything cancels.  Two relations match exactly when their keys
+    are equal, that is when one is a nonzero multiple of the other."""
+    den = lcm(*(c.denominator for c, _ in rel.terms))
+    pairs = sorted((key, c) for key, (c, _) in _grouped(
+        (c.numerator * (den // c.denominator), m) for c, m in rel.terms).items() if c)
     if not pairs:
         return ()
-    lead = pairs[0][1]
-    return tuple((key, Fraction(c) / lead) for key, c in pairs)
+    g = gcd(*(c for _, c in pairs))
+    if pairs[0][1] < 0:
+        g = -g
+    return tuple((key, c // g) for key, c in pairs)
 
 
 def relations_match(r1: LinearTerm, r2: LinearTerm) -> bool:

@@ -141,7 +141,7 @@ def _verified_result(
     verified = check_algebra(twisted, target)
     if pre.all_hold() and not verified.all_passed():
         raise AssertionError(
-            "internal error: twisting preconditions hold but the twisted "
+            "twisting preconditions hold but the twisted "
             "structure fails verification"
         )
     return TwistResult(twisted, verified, pre)
@@ -232,7 +232,7 @@ def transport_morphism(
     result = is_morphism(f, _twisted(lam, beta), _twisted(lam2, beta2), p_h)
     if not result.holds:
         raise AssertionError(
-            "internal error: morphism transport preconditions hold but the "
+            "morphism transport preconditions hold but the "
             "twisted morphism check failed"
         )
     return result.holds
@@ -282,7 +282,7 @@ def iso_witness_check(
     direct_inv = is_morphism(gamma_inv, twisted2, twisted1, target)
     if witness and not (direct.holds and direct_inv.holds):
         raise AssertionError(
-            "internal error: an isomorphism witness fails the direct check "
+            "an isomorphism witness fails the direct check "
             "on the twisted structures"
         )
     return IsoWitnessResult(witness, certified, g_check, commutes, direct, direct_inv)

@@ -31,7 +31,6 @@ from homprop.linalg import (
     maps_equal,
     matrix_power,
     tensor,
-    tensor_degrees,
     zero_map,
 )
 from homprop.presentation import (
@@ -56,6 +55,8 @@ from homprop.term import (
     vcomp,
 )
 from homprop.twist import conjugacy_invariant, derived_sequence, iso_witness_check, twist, yau_twist
+
+from oracles import tensor_degrees
 
 
 def report(n, name):

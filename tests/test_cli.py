@@ -166,6 +166,30 @@ def test_twist_command_on_hom_algebra(tmp_path):
     assert code == 0 and report["status"] == "pass"
 
 
+def test_internal_error_is_exit_4(tmp_path, monkeypatch, capsys):
+    from homprop import twist
+
+    def broken(*args):
+        raise AssertionError("twisting preconditions hold but the twisted "
+                             "structure fails verification")
+
+    monkeypatch.setattr(twist, "_verified_result", broken)
+    p = as_g(SubgroupTag.E)
+    lam = hom_dual_structure(homify_typed(p, theta_min(p.labels)))
+    algebra = write(tmp_path, "hom_dual.json", algebra_to_json(lam))
+    beta = write(tmp_path, "beta.json", endomorphism_to_json(dual_numbers_beta(2)))
+    capsys.readouterr()
+    code, report = run(
+        ["twist", "--builtin", "as", "--plan", "theta-min",
+         "--algebra", algebra, "--beta", beta],
+        tmp_path,
+    )
+    out, err = capsys.readouterr()
+    assert (code, report, out) == (4, None, "")
+    assert err == ("internal error: twisting preconditions hold but the twisted "
+                   "structure fails verification\n")
+
+
 def test_twist_refuses_s_not_i(tmp_path):
     p, plan = as_variant(AsVariant.II1)
     q = homify_typed(p, plan)

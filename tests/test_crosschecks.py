@@ -14,7 +14,6 @@ from homprop.linalg import (
     maps_equal,
     perm_action,
     tensor as tensor_map,
-    tensor_degrees,
     zero_map,
 )
 from homprop.perm import Permutation
@@ -34,6 +33,8 @@ from homprop.term import (
     tensor,
     vcomp,
 )
+
+from oracles import tensor_degrees
 
 SPACE = GradedSpace.from_dims({0: 1, 1: 1})  # basis 0 even, basis 1 odd
 MU = GeneratorSymbol("mu", 1, 2)

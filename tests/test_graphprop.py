@@ -40,6 +40,8 @@ from homprop.term import (
     vcomp,
 )
 
+from oracles import ref_monomial_key, same_partition
+
 MU = GeneratorSymbol("mu", 1, 2)
 DELTA = GeneratorSymbol("delta", 2, 1)
 ALPHA = GeneratorSymbol("alpha", 1, 1)
@@ -217,6 +219,20 @@ def test_monomial_key_is_the_key_of_the_graph():
         assert key_or_error(monomial_key, mono) == want
         closed += isinstance(want[0], type)
     assert closed > 0  # the random monomials include closed components
+
+
+def test_monomial_key_equality_agrees_with_the_reference():
+    monomials = walk_monomials()
+    keys = [key_or_error(monomial_key, m) for m in monomials]
+    refs = [key_or_error(ref_monomial_key, m) for m in monomials]
+    assert same_partition(keys, refs)
+    assert [isinstance(k[0], type) for k in keys] == [isinstance(r[0], type) for r in refs]
+    distinct = {k for k in keys if not isinstance(k[0], type)}
+    assert len(distinct) > 100
+    sorted(distinct)  # totally ordered
+    for (n_out, n_in), _, ports in distinct:
+        assert all(type(e) is int for e in ports)
+        assert len(ports) >= n_in
 
 
 def test_monomial_key_refuses_a_closed_component():

@@ -20,10 +20,11 @@ from homprop.linalg import (
     perm_action,
     rank,
     tensor,
-    tensor_degrees,
     zero_map,
 )
 from homprop.perm import Permutation, all_permutations, compose as pcompose, identity as pid
+
+from oracles import tensor_degrees
 
 V2 = GradedSpace.ungraded(2)
 ODD1 = GradedSpace.from_dims({1: 1})

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from homprop import graphprop, presentation, term
 from homprop.builtins import (
+    BUILTIN_NAMES,
     AsVariant,
     SubgroupTag,
     as_g,
@@ -28,6 +30,7 @@ from homprop.presentation import (
     is_normal,
     presentation_matches,
     projection_pi,
+    relation_key,
     relations_match,
     simplify_relation,
     theta_max,
@@ -54,6 +57,8 @@ from homprop.term import (
     tensor,
     vcomp,
 )
+
+from oracles import ref_relation_key, same_partition
 
 MU = GeneratorSymbol("mu", 1, 2)
 DELTA = GeneratorSymbol("delta", 2, 1)
@@ -371,6 +376,60 @@ def test_linf5_round_trip_builds_no_graph(monkeypatch):
     assert presentation_matches(back, p)
     assert len(keyed) > 0
     assert built == [] and lowered == []  # keys come straight from the layers
+
+
+SCALES = (Fraction(-1), Fraction(-3, 2), Fraction(2, 7), Fraction(5))
+
+
+def key_relations() -> list[LinearTerm]:
+    """The relations of every builtin and of its multiplicative
+    hom-ification, each also scaled by every ``SCALES`` entry and with its
+    first coefficient doubled or negated, and the relations that cancel."""
+    base = []
+    for name in BUILTIN_NAMES:
+        p, _ = builtin(name)
+        base += p.relations + homify_multiplicative(p).relations
+    out = list(base)
+    for rel in base:
+        out += [rel.scaled(c) for c in SCALES]
+        (c, m), *rest = rel.terms
+        out += [LinearTerm(((k * c, m), *rest)) for k in (2, -1)]
+    x = linear_term([(1, Gen(MU))]).terms[0][1]
+    out.append(LinearTerm(((Fraction(1, 3), x), (Fraction(-1, 3), x))))
+    p, _ = builtin("as")
+    q = homify_multiplicative(p)
+    out += apply_substitution_to_relations(q.relations, projection_pi(q, "pi2"))
+    return out
+
+
+def test_relation_key_equality_agrees_with_the_reference():
+    relations = key_relations()
+    keys = [relation_key(r) for r in relations]
+    refs = [ref_relation_key(r) for r in relations]
+    assert same_partition(keys, refs)
+    assert keys.count(()) == refs.count(()) >= 2
+    assert 1 < len(set(keys)) < len(keys)
+
+
+def test_relation_key_is_scale_free_with_int_coefficients():
+    for rel in key_relations():
+        key = relation_key(rel)
+        assert all(type(c) is int for _, c in key)
+        if key:
+            assert key[0][1] > 0
+            assert math.gcd(*(c for _, c in key)) == 1
+        for c in SCALES:
+            assert relation_key(rel.scaled(c)) == key
+
+
+def test_simplify_relation_keeps_fractions_and_first_occurrences():
+    left = vcomp(Gen(MU), Tensor(Gen(MU), UnitLeaf()))
+    right = vcomp(Gen(MU), Tensor(UnitLeaf(), Gen(MU)))
+    rel = linear_term([(Fraction(1, 2), right), (Fraction(1, 3), left),
+                       (Fraction(1, 6), right), (Fraction(-1, 3), left)])
+    (c, m), = simplify_relation(rel).terms
+    assert (c, type(c), m) == (Fraction(2, 3), Fraction, rel.terms[0][1])
+    assert simplify_relation(linear_term([(1, left), (-1, left)])) is None
 
 
 @pytest.mark.parametrize("blocks, name", [
