@@ -7,8 +7,9 @@ strings; reports are deterministic for identical inputs.
 Exit codes: 0 pass, 1 check failed, 2 precondition failed (a
 ``twist.PreconditionFailed`` or a ``presentation.PlanError``), 3 input
 error, 4 internal error (an ``AssertionError``, such as a twist that
-fails verification although its preconditions hold).  ``_report`` writes every JSON report and turns its pass flag into
-the exit code; builtin names are resolved by ``builtins.builtin``.
+fails verification although its preconditions hold).  ``_report`` writes
+every JSON report and turns its pass flag into the exit code; builtin
+names are resolved by ``builtins.builtin``.
 
 Twisting commands take the *base* presentation (--builtin or
 --presentation) together with --plan; the hom-ified presentation is rebuilt

@@ -67,9 +67,9 @@ class DecoratedGraph:
             for v, g in enumerate(self.decorations)
             for p in range(1, g.in_arity + 1)
         }
-        if sorted(starts) != sorted(expected_starts) or len(set(starts)) != len(starts):
+        if len(starts) != len(expected_starts) or set(starts) != expected_starts:
             raise ValueError("edge initial endpoints must hit every source port exactly once")
-        if sorted(ends) != sorted(expected_ends) or len(set(ends)) != len(ends):
+        if len(ends) != len(expected_ends) or set(ends) != expected_ends:
             raise ValueError("edge terminal endpoints must hit every sink port exactly once")
         self._check_acyclic()
 

@@ -301,8 +301,8 @@ def relation_key(rel: LinearTerm) -> tuple:
     () if everything cancels.  Two relations match exactly when their keys
     are equal, that is when one is a nonzero multiple of the other."""
     den = lcm(*(c.denominator for c, _ in rel.terms))
-    pairs = sorted((key, c) for key, (c, _) in _grouped(
-        (c.numerator * (den // c.denominator), m) for c, m in rel.terms).items() if c)
+    groups = _grouped((c.numerator * (den // c.denominator), m) for c, m in rel.terms)
+    pairs = sorted((key, c) for key, (c, _) in groups.items() if c)
     if not pairs:
         return ()
     g = gcd(*(c for _, c in pairs))

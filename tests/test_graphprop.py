@@ -230,9 +230,9 @@ def test_monomial_key_equality_agrees_with_the_reference():
     distinct = {k for k in keys if not isinstance(k[0], type)}
     assert len(distinct) > 100
     sorted(distinct)  # totally ordered
-    for (n_out, n_in), _, ports in distinct:
+    for (n_out, n_in), decorations, ports in distinct:
         assert all(type(e) is int for e in ports)
-        assert len(ports) >= n_in
+        assert len(ports) == n_in + sum(out for _, out, _, _ in decorations)
 
 
 def test_monomial_key_refuses_a_closed_component():
@@ -368,6 +368,26 @@ def test_cycle_detection_rejects_manual_cycle():
                 (("vo", 1, 1), ("vi", 0, 1)),
             }),
         )
+
+
+@pytest.mark.parametrize("edges, message", [
+    # input 2 unused, input 1 used twice
+    ({(("in", 1), ("vi", 0, 1)), (("in", 1), ("vi", 0, 2)), (("vo", 0, 1), ("out", 1))},
+     "initial endpoints"),
+    # output port 2 of a (1,2) vertex does not exist
+    ({(("in", 1), ("vi", 0, 1)), (("in", 2), ("vi", 0, 2)), (("vo", 0, 2), ("out", 1))},
+     "initial endpoints"),
+    # vertex input 2 fed twice over, input 1 never
+    ({(("in", 1), ("vi", 0, 2)), (("in", 2), ("vi", 0, 2)), (("vo", 0, 1), ("out", 1))},
+     "terminal endpoints"),
+    # graph output 1 left open
+    ({(("in", 1), ("vi", 0, 1)), (("in", 2), ("vi", 0, 2))}, "initial endpoints"),
+])
+def test_validation_refuses_bad_endpoints(edges, message):
+    with pytest.raises(ValueError, match=message):
+        DecoratedGraph(1, 2, (MU,), frozenset(edges))
+    good = {(("in", 1), ("vi", 0, 1)), (("in", 2), ("vi", 0, 2)), (("vo", 0, 1), ("out", 1))}
+    assert DecoratedGraph(1, 2, (MU,), frozenset(good)) == term_to_graph(Gen(MU))
 
 
 def test_dump_deterministic():
