@@ -213,7 +213,7 @@ def _walk(m: Term | LayeredMonomial) -> Tables:
         port, w = first, 0
         inputs: list[int] = []
         for f in layer.factors:
-            if not isinstance(f, GeneratorSymbol):
+            if isinstance(f, UnitFactor):
                 inputs.append(ends[w])
                 w += 1
                 continue
