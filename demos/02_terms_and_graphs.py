@@ -7,7 +7,7 @@ into a stack of full-width generator rows separated by permutation gaps;
 lowering further to a decorated graph forgets exactly the unit padding, so
 graph isomorphism is the right equality test for free-PROP monomials.
 """
-from homprop.graphprop import isomorphic, term_to_graph
+from homprop.graphprop import dump_graph, monomial_key
 from homprop.term import (
     Gen,
     GeneratorSymbol,
@@ -30,10 +30,9 @@ lm = layerize(right)
 print("layers of x(yz):", [[str(f) for f in layer.factors] for layer in lm.layers])
 print("monomial degree:", monomial_degree(lm))
 
-g_left, g_right = term_to_graph(left), term_to_graph(right)
 print("\ngraph of (xy)z:")
-print(g_left.dump())
-print("\n(xy)z vs x(yz) isomorphic?", isomorphic(g_left, g_right) is not None)
+print(dump_graph(left))
+print("\n(xy)z vs x(yz) isomorphic?", monomial_key(left) == monomial_key(right))
 
 # The interchange law makes differently-written rectangles equal.
 a, b, c, d = (GeneratorSymbol(n, 1, 1) for n in "abcd")
@@ -42,4 +41,4 @@ rect2 = VComp(Tensor(Gen(a), Gen(b)), Tensor(Gen(c), Gen(d)))
 print("\n(a.c) (x) (b.d) and (a (x) b).(c (x) d) layerize identically?",
       layerize(rect1) == layerize(rect2))
 print("...and their graphs are isomorphic?",
-      isomorphic(term_to_graph(rect1), term_to_graph(rect2)) is not None)
+      monomial_key(rect1) == monomial_key(rect2))

@@ -4,7 +4,8 @@ The package is organized bottom-up:
 
 - ``perm``: symmetric-group elements, signs, unshuffles, Koszul signs
 - ``term``: free-PROP expressions and the layered canonical form
-- ``graphprop``: decorated directed graphs, grafting, isomorphism
+- ``graphprop``: monomials as decorated graphs held in integer port tables:
+  canonical keys (equal exactly for isomorphic graphs) and the graph dump
 - ``presentation``: generators/relations, hom-ification, projections
 - ``builtins``: the stock presentations (associativity families, brackets,
   bialgebra, Yang-Baxter, truncated a-/l-infinity towers)

@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 from . import builtins as stock
 from .algebra import check_algebra, is_morphism
-from .graphprop import term_to_graph
+from .graphprop import dump_graph
 from .presentation import (
     HomPlan,
     PlanError,
@@ -73,6 +73,8 @@ def _load_json(path: str) -> Any:
         return json.loads(Path(path).read_text())
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
     except RecursionError as e:
@@ -81,7 +83,10 @@ def _load_json(path: str) -> Any:
 
 def _write(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as e:
+            raise InputError(f"cannot write {out}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
@@ -291,9 +296,8 @@ def cmd_graph_dump(args) -> int:
     chunks = []
     for r, rel in enumerate(p.relations):
         for mi, (coef, mono) in enumerate(rel.terms):
-            g = term_to_graph(mono)
             chunks.append(f"relation {r} monomial {mi} coefficient {coef}")
-            chunks.append(g.dump())
+            chunks.append(dump_graph(mono))
     _write("\n".join(chunks) + "\n", args.out)
     return EXIT_PASS
 

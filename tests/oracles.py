@@ -7,16 +7,26 @@
 - ``ref_relation_key``: the relation key with ``Fraction`` coefficients
   divided by the leading one, over ``ref_monomial_key``.
 - ``tensor_degrees``: the dense list of basis degrees of a tensor power.
+- ``DecoratedGraph`` and its builders (``exceptional``, ``corolla``,
+  ``permutation_graph``, ``disjoint_union``, ``graft``), ``term_to_graph``,
+  ``canonical_key`` and ``isomorphic``: graphs as validated sets of
+  tuple-endpoint edges, as ``graphprop`` held them before ``graph-dump``
+  read the port tables directly.  ``DecoratedGraph.dump`` is the reference
+  for ``graphprop.dump_graph``, grafting for ``graphprop._walk`` and the
+  graph form of the key for ``graphprop._numbering``.
 
 Key values differ between ``graphprop`` and these references; what must
 agree is which pairs of keys are equal.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
+from homprop.graphprop import Tables, _numbering, _stride, _walk
 from homprop.linalg import GradedSpace, check_width
-from homprop.term import GeneratorSymbol, LinearTerm, UnitFactor, layerize
+from homprop.term import GeneratorSymbol, LayeredMonomial, LinearTerm, Term, UnitFactor, layerize
 
 
 def ref_walk(m):
@@ -122,3 +132,186 @@ def same_partition(xs, ys) -> bool:
     xs, ys = list(xs), list(ys)
     assert len(xs) == len(ys)
     return len(set(xs)) == len(set(ys)) == len(set(zip(xs, ys)))
+
+
+class GraftMismatch(ValueError):
+    pass
+
+
+# Edge endpoints: ("in", i) graph input, ("out", j) graph output,
+# ("vo", v, p) output port p of vertex v, ("vi", v, p) input port p of vertex v.
+Endpoint = tuple
+
+
+@dataclass(frozen=True)
+class DecoratedGraph:
+    n_out: int
+    n_in: int
+    decorations: tuple[GeneratorSymbol, ...]
+    edges: frozenset[tuple[Endpoint, Endpoint]]
+
+    def __post_init__(self) -> None:
+        self._validate()
+
+    def _validate(self) -> None:
+        starts = [e[0] for e in self.edges]
+        ends = [e[1] for e in self.edges]
+        expected_starts = {("in", i) for i in range(1, self.n_in + 1)} | {
+            ("vo", v, p)
+            for v, g in enumerate(self.decorations)
+            for p in range(1, g.out_arity + 1)
+        }
+        expected_ends = {("out", j) for j in range(1, self.n_out + 1)} | {
+            ("vi", v, p)
+            for v, g in enumerate(self.decorations)
+            for p in range(1, g.in_arity + 1)
+        }
+        if len(starts) != len(expected_starts) or set(starts) != expected_starts:
+            raise ValueError("edge initial endpoints must hit every source port exactly once")
+        if len(ends) != len(expected_ends) or set(ends) != expected_ends:
+            raise ValueError("edge terminal endpoints must hit every sink port exactly once")
+        self._check_acyclic()
+
+    def _check_acyclic(self) -> None:
+        """Kahn's algorithm: peel off vertices with no incoming edge."""
+        n = len(self.decorations)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        indegree = [0] * n
+        for (a, b) in self.edges:
+            if a[0] == "vo" and b[0] == "vi":
+                succ[a[1]].append(b[1])
+                indegree[b[1]] += 1
+        ready = [v for v in range(n) if indegree[v] == 0]
+        peeled = 0
+        while ready:
+            v = ready.pop()
+            peeled += 1
+            for w in succ[v]:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    ready.append(w)
+        if peeled != n:
+            raise ValueError("directed cycle created")
+
+    def dump(self) -> str:
+        """Deterministic text form for golden-file comparisons."""
+        lines = [f"graph ({self.n_out},{self.n_in})"]
+        for v, g in enumerate(self.decorations):
+            lines.append(f"  v{v}: {g.name} ({g.out_arity},{g.in_arity})")
+        for a, b in sorted(self.edges):
+            lines.append(f"  {a} -> {b}")
+        return "\n".join(lines)
+
+
+def exceptional(n: int) -> DecoratedGraph:
+    return DecoratedGraph(
+        n, n, (), frozenset((("in", i), ("out", i)) for i in range(1, n + 1))
+    )
+
+
+def corolla(g: GeneratorSymbol) -> DecoratedGraph:
+    edges = {(("in", i), ("vi", 0, i)) for i in range(1, g.in_arity + 1)}
+    edges |= {(("vo", 0, p), ("out", p)) for p in range(1, g.out_arity + 1)}
+    return DecoratedGraph(g.out_arity, g.in_arity, (g,), frozenset(edges))
+
+
+def permutation_graph(images: tuple[int, ...]) -> DecoratedGraph:
+    """Strand i enters at input i and exits at output images[i-1]."""
+    n = len(images)
+    return DecoratedGraph(
+        n, n, (), frozenset((("in", i), ("out", images[i - 1])) for i in range(1, n + 1))
+    )
+
+
+def _shift_endpoint(e: Endpoint, dv: int, din: int, dout: int) -> Endpoint:
+    if e[0] == "in":
+        return ("in", e[1] + din)
+    if e[0] == "out":
+        return ("out", e[1] + dout)
+    if e[0] == "vo":
+        return ("vo", e[1] + dv, e[2])
+    return ("vi", e[1] + dv, e[2])
+
+
+def disjoint_union(a: DecoratedGraph, b: DecoratedGraph) -> DecoratedGraph:
+    """a's ports precede b's in the combined orderings."""
+    dv, din, dout = len(a.decorations), a.n_in, a.n_out
+    edges = set(a.edges)
+    edges |= {
+        (_shift_endpoint(x, dv, din, dout), _shift_endpoint(y, dv, din, dout))
+        for x, y in b.edges
+    }
+    return DecoratedGraph(
+        a.n_out + b.n_out, a.n_in + b.n_in, a.decorations + b.decorations, frozenset(edges)
+    )
+
+
+def graft(upper: DecoratedGraph, lower: DecoratedGraph) -> DecoratedGraph:
+    """Fuse output j of ``lower`` to input j of ``upper``."""
+    if upper.n_in != lower.n_out:
+        raise GraftMismatch(f"grafting {upper.n_in} inputs onto {lower.n_out} outputs")
+    dv = len(lower.decorations)
+    up_from_input: dict[int, Endpoint] = {}
+    up_edges = []
+    for a, b in upper.edges:
+        b2 = _shift_endpoint(b, dv, 0, 0) if b[0] != "out" else b
+        a2 = _shift_endpoint(a, dv, 0, 0) if a[0] != "in" else a
+        if a[0] == "in":
+            up_from_input[a[1]] = b2
+        else:
+            up_edges.append((a2, b2))
+    edges = set(up_edges)
+    for a, b in lower.edges:
+        if b[0] == "out":
+            edges.add((a, up_from_input[b[1]]))
+        else:
+            edges.add((a, b))
+    return DecoratedGraph(
+        upper.n_out, lower.n_in, lower.decorations + upper.decorations, frozenset(edges)
+    )
+
+
+def _tables(g: DecoratedGraph) -> Tables:
+    """The port tables of a graph, indexed from its edges."""
+    S = _stride(g.decorations)
+    size = len(g.decorations) * S
+    above = [0] * (size + g.n_in)
+    below = [0] * (size + g.n_out)
+    for a, b in g.edges:  # boundary endpoints are pairs, vertex ports triples
+        x = -a[1] if len(a) == 2 else a[1] * S + a[2]
+        y = -b[1] if len(b) == 2 else b[1] * S + b[2]
+        above[x] = y
+        below[y] = x
+    return g.n_out, g.n_in, g.decorations, S, above, below
+
+
+def term_to_graph(m: Term | LayeredMonomial) -> DecoratedGraph:
+    """Lower a monomial to its decorated graph, validated; permutations and
+    units leave no vertices."""
+    n_out, n_in, decorations, S, above, _ = _walk(m)
+    size, n = len(decorations) * S, len(above)
+    edges = frozenset(  # no endpoint is 0, so a 0 entry is an unused slot
+        (("vo", x // S, x % S) if x < size else ("in", n - x),
+         ("vi", y // S, y % S) if y > 0 else ("out", -y))
+        for x, y in enumerate(above) if y)
+    return DecoratedGraph(n_out, n_in, decorations, edges)
+
+
+def canonical_key(g: DecoratedGraph) -> tuple:
+    """A hashable, sortable key that is equal exactly for isomorphic graphs:
+    the biarity, the decorations in canonical order and the edges
+    renumbered by that order."""
+    return _numbering(*_tables(g))[1]
+
+
+def isomorphic(a: DecoratedGraph, b: DecoratedGraph) -> Optional[dict[int, int]]:
+    """A decoration- and port-preserving isomorphism as a vertex map, or None.
+
+    Graph input/output port labels must correspond identically; vertex ports
+    must match index by index.
+    """
+    order_a, key_a = _numbering(*_tables(a))
+    order_b, key_b = _numbering(*_tables(b))
+    if key_a != key_b:
+        return None
+    return dict(zip(order_a, order_b))

@@ -1,11 +1,15 @@
 import argparse
+import errno
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from homprop.algebra import structure_map
 from homprop.builtins import (
+    BUILTIN_NAMES,
     AsVariant,
     SubgroupTag,
     as_g,
@@ -274,6 +278,40 @@ def test_graph_dump_deterministic(tmp_path):
     assert "relation 2 monomial 1" in out1.read_text()
 
 
+# sha256 of the graph-dump stdout per (builtin, --ainf-sign-offset), so the
+# text format cannot drift unnoticed.
+GRAPH_DUMP_DIGESTS = {
+    ("as", 0): "89452fc52836165515342f1a49c5dff34c05c753b1073f5705febcdb43615c37",
+    ("as-g:e", 0): "89452fc52836165515342f1a49c5dff34c05c753b1073f5705febcdb43615c37",
+    ("as-g:12", 0): "a62e694e3074096c4749de6a9ef9073639f732600782667a238bcbe5a3a59756",
+    ("as-g:23", 0): "bc4a5e61f38a6b0893a510c5f84cb32049ce35e75be56bbe1b53f6d05f2b26eb",
+    ("as-g:a3", 0): "ff6b8f61d41940e4459f9affc0e91c60866f786c61f8a8929857b5840aec9afe",
+    ("as-g:s3", 0): "1fe29f85ebdbe7cd7f3101bd6736eeef08c4cb62f3f4af805f8173dcf7bf4727",
+    ("as-ii1", 0): "89452fc52836165515342f1a49c5dff34c05c753b1073f5705febcdb43615c37",
+    ("as-iii", 0): "89452fc52836165515342f1a49c5dff34c05c753b1073f5705febcdb43615c37",
+    ("nambu:2", 0): "e7aee0ce50b7f2dffc7a0086fb71367cf5ae5a05cf00d89dc083074130c19dd6",
+    ("nambu:3", 0): "975b3ae024574fb2dcb9cb2182e3bcab764d95a6064cee140d585b5fb84298cc",
+    ("bialgebra", 0): "795902db85425258991ce4c82d2f733459d8d8cdcef6a4e5cc88d4fb3535b5c3",
+    ("bialgebra-generalized", 0): "795902db85425258991ce4c82d2f733459d8d8cdcef6a4e5cc88d4fb3535b5c3",
+    ("ybe", 0): "6168b036ef642c78556a033c3ac4892b01d37bf4e56521533f4e55ae364bab49",
+    ("ainf:3", 0): "01f93c679201a9c502e2a3db9840fb33cee1426e8a0fb13d69bef9f6a0920bf0",
+    ("linf:3", 0): "67958eb4bc1e87cc9a0c5edbe5c1a63dc87a10bc121e527496049aa983e72677",
+    ("ainf:3", 1): "66872b2fec622072a36637b069c12675b036748ba259210164ead8c295742810",
+    ("linf:3", 1): "a2ba357dfdc8015dba743aabcad4595cc4ca461e9691886eafd61f2f03d17a85",
+    ("ainf:4", 1): "14f6385477bb841e680a5d351636f16e5df0e701e6be3f7da609f2e2aa5f6fa7",
+}
+
+
+def test_graph_dump_golden_digests(capsys):
+    assert {name for name, offset in GRAPH_DUMP_DIGESTS if offset == 0} == set(BUILTIN_NAMES)
+    for (name, offset), digest in GRAPH_DUMP_DIGESTS.items():
+        flag = ["--ainf-sign-offset", "1"] if offset else []
+        assert main(["graph-dump", "--builtin", name, *flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, offset)
+
+
 def test_deep_monomial_has_no_recursion_limit(tmp_path, capsys):
     # 1,500 rows is deeper than the default recursion limit of 1,000.
     rows = [{"gen": "f"}] * 1500
@@ -379,6 +417,28 @@ def test_input_error_exit_codes(tmp_path):
     assert code == 3
     code = main(["check", "--builtin", "unknown-name", "--algebra", str(bad)])
     assert code == 3
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    # A directory where a JSON file is expected.
+    code = main(["check", "--builtin", "as", "--algebra", str(tmp_path)])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "graph-dump"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+    algebra = write(tmp_path, "dual.json", algebra_to_json(dual_numbers()))
+    args = {"check": ["check", "--builtin", "as", "--algebra", algebra],
+            "graph-dump": ["graph-dump", "--builtin", "bialgebra"]}[command]
+    out = tmp_path / "missing" / "r.json"
+    assert main(args + ["--out", str(out)]) == 3
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"input error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"
 
 
 def test_check_report_golden_sl2_bracket_not_associative(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from homprop.algebra import check_algebra, eval_term, structure_map
 from homprop.builtins import AsVariant, as_variant, bialgebra
-from homprop.graphprop import term_to_graph
+from homprop.graphprop import dump_graph
 from homprop.linalg import (
     GradedSpace,
     compose,
@@ -34,7 +34,7 @@ from homprop.term import (
     vcomp,
 )
 
-from oracles import tensor_degrees
+from oracles import tensor_degrees, term_to_graph
 
 SPACE = GradedSpace.from_dims({0: 1, 1: 1})  # basis 0 even, basis 1 odd
 MU = GeneratorSymbol("mu", 1, 2)
@@ -216,6 +216,7 @@ def test_graph_dump_golden():
         "  ('vo', 3, 1) -> ('out', 2)",
     ])
     assert term_to_graph(mono).dump() == expected
+    assert dump_graph(mono) == expected
 
 
 def test_double_homification():

@@ -3,20 +3,8 @@ import random
 
 import pytest
 
-from homprop.builtins import builtin
-from homprop.graphprop import (
-    DecoratedGraph,
-    GraftMismatch,
-    canonical_key,
-    corolla,
-    disjoint_union,
-    exceptional,
-    graft,
-    isomorphic,
-    monomial_key,
-    permutation_graph,
-    term_to_graph,
-)
+from homprop.builtins import BUILTIN_NAMES, builtin
+from homprop.graphprop import dump_graph, monomial_key
 from homprop.perm import Permutation, transposition
 from homprop.presentation import (
     apply_substitution_to_relations,
@@ -40,7 +28,20 @@ from homprop.term import (
     vcomp,
 )
 
-from oracles import ref_monomial_key, same_partition
+from oracles import (
+    DecoratedGraph,
+    GraftMismatch,
+    canonical_key,
+    corolla,
+    disjoint_union,
+    exceptional,
+    graft,
+    isomorphic,
+    permutation_graph,
+    ref_monomial_key,
+    same_partition,
+    term_to_graph,
+)
 
 MU = GeneratorSymbol("mu", 1, 2)
 DELTA = GeneratorSymbol("delta", 2, 1)
@@ -397,6 +398,16 @@ def test_dump_deterministic():
     assert d1 == d2
     assert d1.splitlines()[0] == "graph (1,3)"
     assert "v0: mu (1,2)" in d1
+
+
+def test_dump_graph_matches_the_graph_dump():
+    monomials = walk_monomials()
+    for name in (*BUILTIN_NAMES, "linf:5", "ainf:7", "nambu:4"):
+        p, _ = builtin(name)
+        q = homify_typed(p, theta_max(p.labels))
+        monomials.extend(mono for rel in (*p.relations, *q.relations) for _, mono in rel.terms)
+    for mono in monomials:
+        assert dump_graph(mono) == term_to_graph(mono).dump()
 
 
 ETA = GeneratorSymbol("eta", 1, 0)

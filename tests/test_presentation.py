@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from homprop import graphprop, presentation, term
+from homprop import presentation, term
 from homprop.builtins import (
     BUILTIN_NAMES,
     AsVariant,
@@ -18,7 +18,6 @@ from homprop.builtins import (
     nambu,
     ybe,
 )
-from homprop.graphprop import DecoratedGraph
 from homprop.presentation import (
     HomPlan,
     NameCollision,
@@ -58,7 +57,8 @@ from homprop.term import (
     vcomp,
 )
 
-from oracles import ref_relation_key, same_partition
+import oracles
+from oracles import DecoratedGraph, ref_relation_key, same_partition
 
 MU = GeneratorSymbol("mu", 1, 2)
 DELTA = GeneratorSymbol("delta", 2, 1)
@@ -355,7 +355,7 @@ def test_linf5_round_trip_builds_no_graph(monkeypatch):
         q.relations, projection_pi(q, "pi")))
     built, lowered, keyed = [], [], []
     validate = DecoratedGraph.__post_init__
-    lower = graphprop.term_to_graph
+    lower = oracles.term_to_graph
     key = presentation.monomial_key
 
     def counting_validate(self):
@@ -371,7 +371,7 @@ def test_linf5_round_trip_builds_no_graph(monkeypatch):
         return key(mono)
 
     monkeypatch.setattr(DecoratedGraph, "__post_init__", counting_validate)
-    monkeypatch.setattr(graphprop, "term_to_graph", counting_lower)
+    monkeypatch.setattr(oracles, "term_to_graph", counting_lower)
     monkeypatch.setattr(presentation, "monomial_key", counting_key)
     assert presentation_matches(back, p)
     assert len(keyed) > 0
