@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 - ``perm``: symmetric-group elements, signs, unshuffles, Koszul signs
-- ``term``: free-PROP expressions and the layered canonical form
+- ``term``: free-PROP monomials, built and held in the layered canonical form
 - ``graphprop``: monomials as decorated graphs held in integer port tables:
   canonical keys (equal exactly for isomorphic graphs) and the graph dump
 - ``presentation``: generators/relations, hom-ification, projections

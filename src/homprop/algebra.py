@@ -43,10 +43,8 @@ from .term import (
     GeneratorSymbol,
     LayeredMonomial,
     LinearTerm,
-    Term,
     UnitFactor,
     homological_degree,
-    layerize,
 )
 
 
@@ -219,7 +217,7 @@ class _Evaluator:
                     out[row, col] = v
         return out
 
-    def term(self, t: Union[LinearTerm, LayeredMonomial, Term]) -> tuple[Sparse, int, int]:
+    def term(self, t: Union[LinearTerm, LayeredMonomial]) -> tuple[Sparse, int, int]:
         """The value of a sum (a bare monomial is a one-term sum) as
         ``(total, L, degree)``: the value is ``total / L``.
 
@@ -231,7 +229,7 @@ class _Evaluator:
         has the monomial's homological degree, and the sum refuses a second
         degree, so the value is homogeneous by construction.
         """
-        terms = t.terms if isinstance(t, LinearTerm) else ((1, layerize(t)),)
+        terms = t.terms if isinstance(t, LinearTerm) else ((1, t),)
         scales = [Fraction(coef) / math.prod(self.maps[g].den for g in mono.generators()
                                              if g in self.maps)
                   for coef, mono in terms]
@@ -257,11 +255,9 @@ class _Evaluator:
 
 
 def eval_term(
-    lam: StructureMap, t: Union[LinearTerm, LayeredMonomial, Term]
+    lam: StructureMap, t: Union[LinearTerm, LayeredMonomial]
 ) -> LinearMap:
     """Evaluate a monomial or a sum in the endomorphism PROP of the carrier."""
-    if not isinstance(t, LinearTerm):
-        t = layerize(t)
     total, den, degree = _Evaluator(lam).term(t)
     columns: dict[Basis, list[tuple[Basis, int]]] = {}
     for (row, col), v in total.items():

@@ -23,7 +23,7 @@ cycle, so the tables need no validation.  Both products read them:
 """
 from __future__ import annotations
 
-from .term import GeneratorSymbol, LayeredMonomial, Term, UnitFactor, layerize
+from .term import GeneratorSymbol, LayeredMonomial, UnitFactor
 
 
 # An endpoint is an int: graph input or output k is -k, and port p of
@@ -38,7 +38,7 @@ def _stride(decorations: tuple[GeneratorSymbol, ...]) -> int:
     return 1 + max([max(d.out_arity, d.in_arity) for d in decorations], default=0)
 
 
-def _walk(m: Term | LayeredMonomial) -> Tables:
+def _walk(mono: LayeredMonomial) -> Tables:
     """The port tables of the graph of a monomial, filled in one walk.
 
     ``above`` takes each initial endpoint (a graph input or a vertex output
@@ -52,7 +52,6 @@ def _walk(m: Term | LayeredMonomial) -> Tables:
     to right within a layer, the order in which grafting the rows would
     number them.
     """
-    mono = layerize(m)
     rows = [[f for f in layer.factors if isinstance(f, GeneratorSymbol)]
             for layer in mono.layers]
     decorations = tuple(g for row in reversed(rows) for g in row)
@@ -129,13 +128,13 @@ def _numbering(n_out: int, n_in: int, decorations: tuple[GeneratorSymbol, ...],
     return order, ((n_out, n_in), key_decorations, ports)
 
 
-def monomial_key(m: Term | LayeredMonomial) -> tuple:
+def monomial_key(m: LayeredMonomial) -> tuple:
     """The canonical key of the graph of a monomial, numbered straight from
     the port tables of the walk: equal exactly for isomorphic graphs."""
     return _numbering(*_walk(m))[1]
 
 
-def dump_graph(m: Term | LayeredMonomial) -> str:
+def dump_graph(m: LayeredMonomial) -> str:
     """The deterministic text form of the graph of a monomial.
 
     A ``graph (n,m)`` header, one line per vertex in the walk's order, then

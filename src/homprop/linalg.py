@@ -344,10 +344,6 @@ def is_injective(f: LinearMap) -> bool:
     return rank(f) == f.cols
 
 
-def is_invertible(f: LinearMap) -> bool:
-    return f.rows == f.cols and rank(f) == f.rows
-
-
 def inverse_map(f: LinearMap) -> LinearMap:
     """Exact inverse of a square invertible map."""
     if f.rows != f.cols:

@@ -95,11 +95,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p(q(i)) for i in range(1, p.n + 1)))
 
 
-def block_sum(p: Permutation, q: Permutation) -> Permutation:
-    """``p`` acting on the first block of slots, ``q`` shifted after it."""
-    return Permutation(p.images + tuple(q(i) + p.n for i in range(1, q.n + 1)))
-
-
 def inversions(p: Permutation) -> list[tuple[int, int]]:
     """All pairs ``i < j`` with ``p(i) > p(j)``."""
     return [(i, j) for i in range(1, p.n + 1) for j in range(i + 1, p.n + 1) if p(i) > p(j)]
@@ -153,8 +148,7 @@ def koszul_sign(p: Permutation, degs: GradedTuple | Sequence[int]) -> int:
 
     Product of (-1)^(d_a * d_b) over all pairs a < b whose relative order is
     reversed, i.e. the inversion pairs of ``p``.  +1 whenever all degrees are
-    even.  The signature-times-Koszul combination chi used by antisymmetry
-    axioms is exposed separately as :func:`chi_sign`.
+    even.
     """
     degrees = degs.degrees if isinstance(degs, GradedTuple) else tuple(degs)
     if len(degrees) != p.n:
@@ -164,11 +158,6 @@ def koszul_sign(p: Permutation, degs: GradedTuple | Sequence[int]) -> int:
         if degrees[a - 1] % 2 and degrees[b - 1] % 2:
             s = -s
     return s
-
-
-def chi_sign(p: Permutation, degs: GradedTuple | Sequence[int]) -> int:
-    """The combination sign(p) * koszul_sign(p, degs)."""
-    return sign(p) * koszul_sign(p, degs)
 
 
 def all_permutations(n: int) -> Iterable[Permutation]:

@@ -4,15 +4,17 @@ Rationals travel as strings ("p/q" or "n") so no consumer can lose
 precision.  On input, strings and JSON integers are accepted; floats and
 booleans are refused, because a float such as ``0.1`` already lost its
 exact value when it was parsed.  Arities, degrees, dimensions,
-permutation images and plan labels must be JSON integers.  Term trees use the five-node schema
+permutation images and plan labels must be JSON integers.  Monomials use
+the five-node schema
 
     {"gen": name} | {"unit": true} | {"perm": [images]} |
     {"tensor": [t1, t2, ...]} | {"vcomp": [top, ..., bottom]}
 
 where every node has exactly one of these keys and a unit is written
-``true``; anything else is a ``ParseError``.  N-ary tensor/vcomp nodes are
-right-associated on parse.  Serialization of a stored monomial emits one
-row per layer and permutation gap, so parsing it back yields the identical
+``true``; anything else is a ``ParseError``.  A monomial is read straight
+into its layered normal form, with n-ary tensor/vcomp nodes composed in
+one step each.  Serialization of a stored monomial emits one row per
+layer and permutation gap, so parsing it back yields the identical
 canonical form; unit-occurrence labels survive round trips.
 """
 from __future__ import annotations
@@ -27,19 +29,19 @@ from .presentation import HomPlan, Presentation
 from .algebra import StructureMap, structure_map
 from .perm import Permutation
 from .term import (
-    Gen,
     GeneratorSymbol,
     Interlayer,
     LayeredMonomial,
     LinearTerm,
-    PermLeaf,
     Signature,
-    Term,
     UnitFactor,
-    UnitLeaf,
-    layerize,
-    tensor as tensor_term,
-    vcomp as vcomp_term,
+    VCompArityMismatch,
+    _build,
+    _generator_chain,
+    _permutation_chain,
+    _tensor_run,
+    _unit_chain,
+    _vcomp_run,
 )
 
 
@@ -80,11 +82,6 @@ def _list(v: Any, where: str) -> list:
 # Terms
 
 
-def term_to_json(t: Term | LayeredMonomial) -> Any:
-    """The layered form of a monomial: one row per layer and gap."""
-    return _monomial_to_json(layerize(t))
-
-
 def _gap_rows(gap: Interlayer) -> list[Any]:
     rows: list[Any] = []
     if not gap.perm.is_identity():
@@ -99,7 +96,8 @@ def _gap_rows(gap: Interlayer) -> list[Any]:
     return rows
 
 
-def _monomial_to_json(m: LayeredMonomial) -> Any:
+def term_to_json(m: LayeredMonomial) -> Any:
+    """A monomial as JSON: one row per layer and gap."""
     rows: list[Any] = list(_gap_rows(m.top))
     for layer in m.layers:
         cells = [
@@ -118,24 +116,60 @@ def _monomial_to_json(m: LayeredMonomial) -> Any:
 _TERM_KINDS = ("gen", "unit", "perm", "tensor", "vcomp")
 
 
-def term_from_json(data: Any, signature: Signature) -> Term:
-    _require(isinstance(data, dict), "term node must be an object, got {!r}", data)
-    _require(len(data) == 1 and next(iter(data)) in _TERM_KINDS,
-             "term node needs exactly one key, one of gen, unit, perm, tensor, vcomp; got {!r}",
-             data)
-    ((kind, value),) = data.items()
+def _leaf_chain(kind: str, value: Any, node: dict, signature: Signature) -> list:
     if kind == "gen":
         # Only a string is looked up: a list or an object cannot be hashed.
         _require(isinstance(value, str) and value in signature, "unknown generator {!r}", value)
-        return Gen(signature[value])
+        return _generator_chain(signature[value])
     if kind == "unit":
-        _require(value is True, "unit node must be {{\"unit\": true}}, got {!r}", data)
-        return UnitLeaf()
-    if kind == "perm":
-        return PermLeaf(Permutation(tuple(_integer(i, "perm image") for i in _list(value, "perm"))))
-    parts = [term_from_json(p, signature) for p in _list(value, kind)]
-    _require(len(parts) >= 1, "empty {} node", kind)
-    return tensor_term(*parts) if kind == "tensor" else vcomp_term(*parts)
+        _require(value is True, "unit node must be {{\"unit\": true}}, got {!r}", node)
+        return _unit_chain()
+    return _permutation_chain(
+        Permutation(tuple(_integer(i, "perm image") for i in _list(value, "perm"))))
+
+
+def term_from_json(data: Any, signature: Signature) -> LayeredMonomial:
+    """Read a monomial straight into its layered form.
+
+    The nodes are walked depth first, left to right, on a stack of open
+    tensor/vcomp nodes, so deep nesting needs no recursion.  Each closed
+    node joins the chains of its parts (see ``term``).  A vertical
+    mismatch is kept and raised only once the whole monomial has been
+    read, so a malformed node anywhere in it is reported first; of several
+    mismatches, the first met is raised.
+    """
+    mismatch: Optional[VCompArityMismatch] = None
+    open_nodes: list[tuple[str, list, list]] = []  # (kind, child nodes, their chains)
+    node = data
+    while True:
+        _require(isinstance(node, dict), "term node must be an object, got {!r}", node)
+        _require(len(node) == 1 and next(iter(node)) in _TERM_KINDS,
+                 "term node needs exactly one key, one of gen, unit, perm, tensor, vcomp; got {!r}",
+                 node)
+        ((kind, value),) = node.items()
+        if kind == "tensor" or kind == "vcomp":
+            children = _list(value, kind)
+            _require(len(children) >= 1, "empty {} node", kind)
+            open_nodes.append((kind, children, []))
+            node = children[0]
+            continue
+        chain = _leaf_chain(kind, value, node, signature)
+        while open_nodes:
+            kind, children, chains = open_nodes[-1]
+            chains.append(chain)
+            if len(chains) < len(children):
+                node = children[len(chains)]
+                break
+            open_nodes.pop()
+            try:
+                chain = _tensor_run(chains) if kind == "tensor" else _vcomp_run(chains)
+            except VCompArityMismatch as e:
+                mismatch = mismatch or e
+                chain = chains[0]  # any chain will do: the monomial is refused
+        else:  # every node is closed
+            if mismatch is not None:
+                raise mismatch
+            return _build(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +184,7 @@ def presentation_to_json(p: Presentation) -> Any:
         ],
         "relations": [
             [
-                {"coef": str(coef), "monomial": _monomial_to_json(mono)}
+                {"coef": str(coef), "monomial": term_to_json(mono)}
                 for coef, mono in rel.terms
             ]
             for rel in p.relations
@@ -183,8 +217,7 @@ def presentation_from_json(data: Any) -> Presentation:
             _require(isinstance(item, dict) and "coef" in item and "monomial" in item,
                      "relation item needs 'coef' and 'monomial', got {!r}", item)
             coef = _rational(item["coef"], "coef")
-            mono = layerize(term_from_json(item["monomial"], sig))
-            pairs.append((coef, mono))
+            pairs.append((coef, term_from_json(item["monomial"], sig)))
         relations.append(LinearTerm(tuple(pairs)))
     return Presentation(sig, tuple(relations))
 

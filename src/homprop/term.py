@@ -1,21 +1,19 @@
-"""Free-PROP expressions over a signature and their layered normal form.
+"""Free-PROP monomials over a signature in their layered normal form.
 
-A raw ``Term`` is a tree built from generators, the unit, permutations,
-horizontal composition (``Tensor``) and vertical composition (``VComp``).
-The canonical representation used everywhere downstream is the
-``LayeredMonomial``: a top permutation gap followed by alternating generator
-layers and permutation gaps,
+Every monomial is held as a ``LayeredMonomial``: a top permutation gap
+followed by alternating generator layers and permutation gaps,
 
     top . (layer_1 . gap_1) . (layer_2 . gap_2) . ... . (layer_k . gap_k)
 
-read top-to-bottom, inputs at the bottom.  ``layerize`` rewrites any
-well-typed monomial into this shape using the interchange law; this is the
-interchange-law normal form of the free PROP (Markl, "Operads and PROPs",
-Handbook of Algebra 5, 2008).  It walks the term once, keeping the partial
-results as plain lists: a run of vertical compositions is stacked in one
-step, a run of tensors is padded to a common number of layers and
-concatenated in one step, and the ``LayeredMonomial`` is built, and
-validated, once at the end.
+read top-to-bottom, inputs at the bottom.  This is the interchange-law
+normal form of the free PROP (Markl, "Operads and PROPs", Handbook of
+Algebra 5, 2008).  Monomials are built from ``generator``, ``unit`` and
+``permutation`` with ``tensor`` and ``vcomp``, which compose in normal
+form: while parts are joined they are plain lists, a run of vertical
+compositions is stacked in one step, a run of tensors is padded to a
+common number of layers and concatenated in one step, and the result is
+built, and validated, once.  ``serialize.term_from_json`` reads JSON into
+the same lists.
 
 Unit occurrences are first-class data: hom-ification replaces selected ones
 with twisting generators, so they must stay addressable.  A unit occurrence
@@ -100,81 +98,6 @@ class UnitFactor:
 UNIT = UnitFactor()
 
 Factor = Union[GeneratorSymbol, UnitFactor]
-
-
-# ---------------------------------------------------------------------------
-# Raw term trees
-
-
-@dataclass(frozen=True)
-class Gen:
-    symbol: GeneratorSymbol
-
-
-@dataclass(frozen=True)
-class UnitLeaf:
-    pass
-
-
-@dataclass(frozen=True)
-class PermLeaf:
-    perm: Permutation
-
-
-@dataclass(frozen=True)
-class Tensor:
-    left: "Term"
-    right: "Term"
-
-
-@dataclass(frozen=True)
-class VComp:
-    upper: "Term"
-    lower: "Term"
-
-
-Term = Union[Gen, UnitLeaf, PermLeaf, Tensor, VComp]
-
-
-def tensor(*parts: Term) -> Term:
-    """Right-associated n-ary horizontal composition."""
-    if not parts:
-        raise ValueError("tensor needs at least one part")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Tensor(p, out)
-    return out
-
-
-def vcomp(*parts: Term) -> Term:
-    """Right-associated n-ary vertical composition, top first."""
-    if not parts:
-        raise ValueError("vcomp needs at least one part")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = VComp(p, out)
-    return out
-
-
-def infer_biarity(t: Term) -> tuple[int, int]:
-    """Biarity ``(n, m)`` = (outputs, inputs) of a term, or raise."""
-    if isinstance(t, Gen):
-        return (t.symbol.out_arity, t.symbol.in_arity)
-    if isinstance(t, UnitLeaf):
-        return (1, 1)
-    if isinstance(t, PermLeaf):
-        return (t.perm.n, t.perm.n)
-    if isinstance(t, Tensor):
-        ln, lm = infer_biarity(t.left)
-        rn, rm = infer_biarity(t.right)
-        return (ln + rn, lm + rm)
-    if isinstance(t, VComp):
-        un, um = infer_biarity(t.upper)
-        ln, lm = infer_biarity(t.lower)
-        if um != ln:
-            raise VCompArityMismatch(um, ln, t)
-        return (un, lm)
-    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,40 +220,33 @@ class LinearTerm:
         return LinearTerm(tuple((c * coef, m) for coef, m in self.terms))
 
 
-def linear_term(pairs: Sequence[tuple]) -> LinearTerm:
-    """Build a LinearTerm, coercing coefficients and layerizing raw terms."""
-    out = []
-    for coef, mono in pairs:
-        c = Fraction(coef)
-        if c == 0:
-            continue
-        out.append((c, mono if isinstance(mono, LayeredMonomial) else layerize(mono)))
-    return LinearTerm(tuple(out))
-
-
 # ---------------------------------------------------------------------------
-# Layerization
+# Building monomials
 
 
-# While a term is walked, a chain is plain data: ``[top gap, rows]`` with one
-# ``[factors, gap]`` row per layer, a gap being ``[images, marks]``, all of
-# them lists owned by the chain.  Chains are joined in place, and the
-# permutations, gaps, layers and monomial are built and validated once.
+# While a monomial is built it is a chain of plain data: ``[top gap, rows]``
+# with one ``[factors, gap]`` row per layer, a gap being ``[images, marks]``,
+# all of them lists owned by the chain.  Chains are joined in place, and the
+# permutations, gaps, layers and monomial are built and validated once, by
+# ``_build``.  ``serialize.term_from_json`` reads JSON straight into chains.
 
 
-def _leaf_chain(t: Term | LayeredMonomial) -> list:
-    if isinstance(t, Gen):
-        g = t.symbol
-        return [[list(range(1, g.out_arity + 1)), []],
-                [[[g], [list(range(1, g.in_arity + 1)), []]]]]
-    if isinstance(t, UnitLeaf):
-        return [[[1], [1]], []]
-    if isinstance(t, PermLeaf):
-        return [[list(t.perm.images), []], []]
-    if isinstance(t, LayeredMonomial):
-        return [_gap_lists(t.top),
-                [[list(layer.factors), _gap_lists(layer.below)] for layer in t.layers]]
-    raise TypeError(f"not a term: {t!r}")
+def _generator_chain(g: GeneratorSymbol) -> list:
+    return [[list(range(1, g.out_arity + 1)), []],
+            [[[g], [list(range(1, g.in_arity + 1)), []]]]]
+
+
+def _unit_chain() -> list:
+    return [[[1], [1]], []]
+
+
+def _permutation_chain(p: Permutation) -> list:
+    return [[list(p.images), []], []]
+
+
+def _chain(m: LayeredMonomial) -> list:
+    return [_gap_lists(m.top),
+            [[list(layer.factors), _gap_lists(layer.below)] for layer in m.layers]]
 
 
 def _gap_lists(gap: Interlayer) -> list:
@@ -400,7 +316,8 @@ def _join(left: list, right: list) -> None:
 
 def _tensor_run(parts: list) -> list:
     """Set chains side by side: pad each to the most rows, then concatenate
-    the top gaps and, row by row, the factors and the gaps."""
+    the top gaps and, row by row, the factors and the gaps.  A row of width
+    w costs O(w)."""
     k = max(len(rows) for _, rows in parts)
     out = _pad(parts[0], k)
     for part in parts[1:]:
@@ -412,54 +329,44 @@ def _tensor_run(parts: list) -> list:
     return out
 
 
-def _chain(t: Term | LayeredMonomial) -> list:
-    """The chain of a term, by one walk with explicit stacks.
-
-    A run of ``Tensor``s or of ``VComp``s down a right spine is collected
-    as one list of parts and joined in one step once the spine's last term
-    is reached, from the bottom run up.  The left part of each node is
-    walked before its right part, on a stack of waiting spines rather than
-    by recursion, so exceptions are raised in the order of a recursive
-    left-to-right walk, and deep nesting on either side is fine."""
-    waiting: list[tuple[list, Tensor | VComp]] = []
-    spine: list[tuple[bool, list]] = []  # (is_tensor, parts) per run
-    while True:
-        while isinstance(t, (Tensor, VComp)):
-            waiting.append((spine, t))
-            spine = []
-            t = t.left if isinstance(t, Tensor) else t.upper
-        out = _leaf_chain(t)
-        for is_tensor, parts in reversed(spine):
-            parts.append(out)
-            out = _tensor_run(parts) if is_tensor else _vcomp_run(parts)
-        if not waiting:
-            return out
-        spine, node = waiting.pop()
-        is_tensor = isinstance(node, Tensor)
-        if spine and spine[-1][0] == is_tensor:
-            spine[-1][1].append(out)
-        else:
-            spine.append((is_tensor, [out]))
-        t = node.right if is_tensor else node.lower
-
-
 def _gap(gap: list) -> Interlayer:
     return Interlayer(Permutation(tuple(gap[0])), tuple(gap[1]))
 
 
-def layerize(t: Term | LayeredMonomial) -> LayeredMonomial:
-    """Canonical layered form of a monomial; idempotent on layered input.
-
-    The term is walked once into a plain chain (see ``_chain``): a run of
-    vertical compositions stacks its parts, fusing the gaps where they
-    meet, and a run of tensors pads its parts to the same number of rows
-    and concatenates them, so a row of width w costs O(w).  The
-    ``LayeredMonomial`` and its parts are then built, and validated, once.
-    """
-    if isinstance(t, LayeredMonomial):
-        return t
-    top, rows = _chain(t)
+def _build(chain: list) -> LayeredMonomial:
+    top, rows = chain
     return LayeredMonomial(_gap(top), tuple(Layer(tuple(f), _gap(g)) for f, g in rows))
+
+
+def generator(g: GeneratorSymbol) -> LayeredMonomial:
+    """One generator as a monomial of one layer."""
+    return _build(_generator_chain(g))
+
+
+def unit() -> LayeredMonomial:
+    """The unit: one wire, marked as a unit occurrence."""
+    return _build(_unit_chain())
+
+
+def permutation(p: Permutation) -> LayeredMonomial:
+    """A permutation of wires: a monomial with no layer."""
+    return _build(_permutation_chain(p))
+
+
+def tensor(*parts: LayeredMonomial) -> LayeredMonomial:
+    """Horizontal composition, left to right: the parts padded with unit
+    rows to the same number of layers and set side by side."""
+    if not parts:
+        raise ValueError("tensor needs at least one part")
+    return _build(_tensor_run([_chain(m) for m in parts]))
+
+
+def vcomp(*parts: LayeredMonomial) -> LayeredMonomial:
+    """Vertical composition, top first; raises ``VCompArityMismatch`` at
+    the lowest junction whose widths do not meet."""
+    if not parts:
+        raise ValueError("vcomp needs at least one part")
+    return _build(_vcomp_run([_chain(m) for m in parts]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,13 @@
 """Reference implementations kept beside the tests as oracles.
 
+- ``Gen``, ``UnitLeaf``, ``PermLeaf``, ``Tensor`` and ``VComp``: monomials
+  as raw term trees, with the right-associated n-ary builders ``tensor``
+  and ``vcomp``, ``infer_biarity``, ``layerize`` (the layered form of a
+  tree, joined through ``homprop.term.tensor``/``vcomp``), ``linear_term``
+  (a sum of trees or monomials), and ``tree_from_json``/``tree_to_json``
+  (JSON read as a whole tree before it is layered, as ``serialize`` did).
+  ``homprop`` builds layered monomials directly; these are the reference
+  its builders and its JSON reader are tested against.
 - ``ref_walk``/``ref_numbering``/``ref_monomial_key``: the canonical graph
   key with string-tagged endpoint tuples, ``("in", i)``, ``("out", j)``,
   ``("vo", v, p)`` and ``("vi", v, q)``, as ``graphprop`` computed it before
@@ -22,11 +30,215 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
+from homprop import term
 from homprop.graphprop import Tables, _numbering, _stride, _walk
 from homprop.linalg import GradedSpace, check_width
-from homprop.term import GeneratorSymbol, LayeredMonomial, LinearTerm, Term, UnitFactor, layerize
+from homprop.perm import Permutation
+from homprop.serialize import _TERM_KINDS, _integer, _list, _require, term_to_json
+from homprop.term import (
+    GeneratorSymbol,
+    LayeredMonomial,
+    LinearTerm,
+    Signature,
+    UnitFactor,
+    VCompArityMismatch,
+)
+
+
+# ---------------------------------------------------------------------------
+# Raw term trees
+
+
+@dataclass(frozen=True)
+class Gen:
+    symbol: GeneratorSymbol
+
+
+@dataclass(frozen=True)
+class UnitLeaf:
+    pass
+
+
+@dataclass(frozen=True)
+class PermLeaf:
+    perm: Permutation
+
+
+@dataclass(frozen=True)
+class Tensor:
+    left: "Term"
+    right: "Term"
+
+
+@dataclass(frozen=True)
+class VComp:
+    upper: "Term"
+    lower: "Term"
+
+
+Term = Union[Gen, UnitLeaf, PermLeaf, Tensor, VComp]
+
+
+def tensor(*parts: Term) -> Term:
+    """Right-associated n-ary horizontal composition of trees."""
+    if not parts:
+        raise ValueError("tensor needs at least one part")
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = Tensor(p, out)
+    return out
+
+
+def vcomp(*parts: Term) -> Term:
+    """Right-associated n-ary vertical composition of trees, top first."""
+    if not parts:
+        raise ValueError("vcomp needs at least one part")
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = VComp(p, out)
+    return out
+
+
+def infer_biarity(t: Term) -> tuple[int, int]:
+    """Biarity ``(n, m)`` = (outputs, inputs) of a tree, or raise."""
+    if isinstance(t, Gen):
+        return (t.symbol.out_arity, t.symbol.in_arity)
+    if isinstance(t, UnitLeaf):
+        return (1, 1)
+    if isinstance(t, PermLeaf):
+        return (t.perm.n, t.perm.n)
+    if isinstance(t, Tensor):
+        ln, lm = infer_biarity(t.left)
+        rn, rm = infer_biarity(t.right)
+        return (ln + rn, lm + rm)
+    if isinstance(t, VComp):
+        un, um = infer_biarity(t.upper)
+        ln, lm = infer_biarity(t.lower)
+        if um != ln:
+            raise VCompArityMismatch(um, ln, t)
+        return (un, lm)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _leaf(t) -> LayeredMonomial:
+    if isinstance(t, LayeredMonomial):
+        return t
+    if isinstance(t, Gen):
+        return term.generator(t.symbol)
+    if isinstance(t, UnitLeaf):
+        return term.unit()
+    if isinstance(t, PermLeaf):
+        return term.permutation(t.perm)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _run(t: Tensor | VComp) -> tuple:
+    """The join and the parts of the run that starts at ``t``: every
+    tensor below a tensor, left to right, or the vcomps down the right
+    spine of a vcomp, top first (a vcomp on the left is a run of its own,
+    so that its mismatch is met first)."""
+    if isinstance(t, VComp):
+        parts = []
+        while isinstance(t, VComp):
+            parts.append(t.upper)
+            t = t.lower
+        return term.vcomp, parts + [t]
+    parts, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Tensor):
+            todo += (t.right, t.left)
+        else:
+            parts.append(t)
+    return term.tensor, parts
+
+
+def layerize(t) -> LayeredMonomial:
+    """The layered form of a tree, idempotent on layered input.
+
+    The tree is walked depth first, left to right, on explicit stacks; each
+    run is joined by ``term.tensor`` or ``term.vcomp`` once its parts are
+    layered, so errors are raised in the order of a recursive walk."""
+    todo: list = [(t, None)]  # (tree, None) to walk, or (None, (join, n)) to join n parts
+    done: list[LayeredMonomial] = []
+    while todo:
+        t, run = todo.pop()
+        if run is not None:
+            join, n = run
+            out = join(*done[-n:])
+            del done[-n:]
+            done.append(out)
+        elif isinstance(t, (Tensor, VComp)):
+            join, parts = _run(t)
+            todo.append((None, (join, len(parts))))
+            todo += ((p, None) for p in reversed(parts))
+        else:
+            done.append(_leaf(t))
+    return done[0]
+
+
+def tree_from_json(data, signature: Signature) -> Term:
+    """A monomial read from JSON as a tree, every node checked before it
+    is layered; n-ary nodes are right-associated."""
+    _require(isinstance(data, dict), "term node must be an object, got {!r}", data)
+    _require(len(data) == 1 and next(iter(data)) in _TERM_KINDS,
+             "term node needs exactly one key, one of gen, unit, perm, tensor, vcomp; got {!r}",
+             data)
+    ((kind, value),) = data.items()
+    if kind == "gen":
+        _require(isinstance(value, str) and value in signature, "unknown generator {!r}", value)
+        return Gen(signature[value])
+    if kind == "unit":
+        _require(value is True, "unit node must be {{\"unit\": true}}, got {!r}", data)
+        return UnitLeaf()
+    if kind == "perm":
+        return PermLeaf(Permutation(tuple(_integer(i, "perm image") for i in _list(value, "perm"))))
+    parts = [tree_from_json(p, signature) for p in _list(value, kind)]
+    _require(len(parts) >= 1, "empty {} node", kind)
+    return tensor(*parts) if kind == "tensor" else vcomp(*parts)
+
+
+def tree_to_json(t, rng=None):
+    """The JSON of a tree, a layered leaf written by ``serialize``.  With
+    ``rng``, a run of one kind down a right spine is written, at random,
+    as one n-ary node."""
+    if isinstance(t, (Tensor, VComp)):
+        kind, node = type(t), t
+        parts = []
+        while True:
+            left, right = (node.left, node.right) if kind is Tensor else (node.upper, node.lower)
+            parts.append(left)
+            if not (rng and isinstance(right, kind) and rng.random() < 0.5):
+                break
+            node = right
+        parts.append(right)
+        return {"tensor" if kind is Tensor else "vcomp": [tree_to_json(p, rng) for p in parts]}
+    if isinstance(t, Gen):
+        return {"gen": t.symbol.name}
+    if isinstance(t, UnitLeaf):
+        return {"unit": True}
+    if isinstance(t, PermLeaf):
+        return {"perm": list(t.perm.images)}
+    if isinstance(t, LayeredMonomial):
+        return term_to_json(t)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def linear_term(pairs) -> LinearTerm:
+    """Build a LinearTerm, coercing coefficients, dropping zeros and
+    layering trees."""
+    out = []
+    for coef, mono in pairs:
+        c = Fraction(coef)
+        if c != 0:
+            out.append((c, layerize(mono)))
+    return LinearTerm(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Graph keys
 
 
 def ref_walk(m):
@@ -288,7 +500,7 @@ def _tables(g: DecoratedGraph) -> Tables:
 def term_to_graph(m: Term | LayeredMonomial) -> DecoratedGraph:
     """Lower a monomial to its decorated graph, validated; permutations and
     units leave no vertices."""
-    n_out, n_in, decorations, S, above, _ = _walk(m)
+    n_out, n_in, decorations, S, above, _ = _walk(layerize(m))
     size, n = len(decorations) * S, len(above)
     edges = frozenset(  # no endpoint is 0, so a 0 entry is an unused slot
         (("vo", x // S, x % S) if x < size else ("in", n - x),

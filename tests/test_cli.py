@@ -37,7 +37,7 @@ from homprop.presentation import (
     homify_typed,
     theta_min,
 )
-from homprop.term import Gen, GeneratorSymbol, Signature, linear_term, vcomp
+from homprop.term import GeneratorSymbol, Signature, generator, vcomp
 from homprop.serialize import (
     algebra_to_json,
     dumps,
@@ -45,6 +45,8 @@ from homprop.serialize import (
     presentation_from_json,
     presentation_to_json,
 )
+
+from oracles import linear_term
 
 
 def write(tmp_path: Path, name: str, data) -> str:
@@ -339,6 +341,43 @@ def test_wide_row_is_read_in_one_layer(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["relations"][0]["degree"] == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("kind", ["tensor", "vcomp"])
+def test_deep_nesting_below_the_json_limit_is_read(tmp_path, kind):
+    # 450 nested nodes are about 900 JSON levels: json.loads reads them, so
+    # the monomial reader must not recurse once per level.
+    depth = 450
+    monomial = f'{{"{kind}": [' * depth + '{"gen": "f"}' + ']}' * depth
+    path = tmp_path / "nested.json"
+    path.write_text('{"generators": [{"name": "f", "out": 1, "in": 1}], '
+                    '"relations": [[{"coef": "1", "monomial": ' + monomial + '}]]}')
+    dump = tmp_path / "dump.txt"
+    assert main(["graph-dump", "--presentation", str(path), "--out", str(dump)]) == 0
+    assert "v0: f (1,1)" in dump.read_text()
+
+
+MISMATCH = {"vcomp": [{"gen": "mu"}, {"gen": "mu"}]}
+
+
+@pytest.mark.parametrize("relations, message", [
+    # Within one monomial, a malformed node is reported before a vertical
+    # mismatch, even one that comes earlier.
+    ([[{"coef": "1", "monomial": {"tensor": [MISMATCH, {"gen": "nope"}]}}]],
+     "unknown generator 'nope'"),
+    # Monomials are read in order: the first relation's mismatch wins.
+    ([[{"coef": "1", "monomial": MISMATCH}], [{"coef": "1", "monomial": {"gen": "nope"}}]],
+     "vertical composition expects inner arity 2, found 1"),
+])
+def test_parse_errors_rank_within_and_across_monomials(tmp_path, capsys, relations, message):
+    pres = write(tmp_path, "p.json", {
+        "generators": [{"name": "mu", "out": 1, "in": 2}],
+        "relations": relations,
+    })
+    assert main(["normality", "--presentation", pres]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("node", [
@@ -668,7 +707,8 @@ def _no_units(tmp_path) -> dict:
     and the idempotent line ``f = 1`` that satisfies it."""
     f = GeneratorSymbol("f", 1, 1)
     p = Presentation(Signature((f,)), (
-        linear_term([(1, vcomp(Gen(f), Gen(f))), (-1, vcomp(Gen(f), Gen(f), Gen(f)))]),))
+        linear_term([(1, vcomp(generator(f), generator(f))),
+                     (-1, vcomp(generator(f), generator(f), generator(f)))]),))
     line = GradedSpace.ungraded(1)
     one = make_map(line, line, [[1]])
     return {

@@ -13,24 +13,24 @@ from homprop.presentation import (
     projection_pi,
     theta_max,
 )
+from homprop import term
 from homprop.term import (
     UNIT,
-    Gen,
     GeneratorSymbol,
     Interlayer,
     Layer,
     LayeredMonomial,
-    PermLeaf,
-    Tensor,
     UnitFactor,
-    UnitLeaf,
-    VComp,
-    vcomp,
 )
 
 from oracles import (
     DecoratedGraph,
+    Gen,
     GraftMismatch,
+    PermLeaf,
+    Tensor,
+    UnitLeaf,
+    VComp,
     canonical_key,
     corolla,
     disjoint_union,
@@ -41,6 +41,7 @@ from oracles import (
     ref_monomial_key,
     same_partition,
     term_to_graph,
+    vcomp,
 )
 
 MU = GeneratorSymbol("mu", 1, 2)
@@ -237,7 +238,7 @@ def test_monomial_key_equality_agrees_with_the_reference():
 
 
 def test_monomial_key_refuses_a_closed_component():
-    mono = vcomp(Gen(EPS), Gen(ETA))
+    mono = term.vcomp(term.generator(EPS), term.generator(ETA))
     with pytest.raises(ValueError, match="without boundary ports") as by_graph:
         canonical_key(term_to_graph(mono))
     with pytest.raises(ValueError, match="without boundary ports") as by_walk:
@@ -292,7 +293,7 @@ def test_unit_padding_graphs_isomorphic():
 def test_interchange_rewrites_of_random_terms_lower_identically():
     # Build random four-part rectangles, write them both ways, wrap them in
     # random context, and check the graphs agree.
-    from homprop.term import infer_biarity, tensor as tensor_term
+    from oracles import infer_biarity, tensor as tensor_term
 
     rng = random.Random(31)
     gens = [MU, DELTA, ALPHA, GeneratorSymbol("braiding", 2, 2)]

@@ -13,7 +13,6 @@ from homprop.linalg import (
     identity_map,
     inverse_map,
     is_injective,
-    is_invertible,
     make_map,
     maps_equal,
     matrix_power,
@@ -186,7 +185,7 @@ def test_char_poly_conjugation_invariant_random():
         b = random_homogeneous_map(rng, v, 1, 1, 0)
         while True:
             g = random_homogeneous_map(rng, v, 1, 1, 0)
-            if is_invertible(g):
+            if rank(g) == 3:
                 break
         conj = compose(compose(g, b), inverse_map(g))
         assert char_poly(conj) == char_poly(b)

@@ -10,8 +10,6 @@ from homprop.perm import (
     Permutation,
     all_permutations,
     block_permutation,
-    block_sum,
-    chi_sign,
     compose,
     from_cycle,
     identity,
@@ -176,18 +174,6 @@ def test_koszul_chain_rule():
                     moved = q.apply(degs)
                     rhs = koszul_sign(p, moved) * koszul_sign(q, degs)
                     assert lhs == rhs
-
-
-def test_chi_sign_combines():
-    p = Permutation((2, 1))
-    assert chi_sign(p, (0, 0)) == -1
-    assert chi_sign(p, (1, 1)) == 1
-
-
-def test_block_sum():
-    p = Permutation((2, 1))
-    q = Permutation((1, 3, 2))
-    assert block_sum(p, q) == Permutation((2, 1, 3, 5, 4))
 
 
 def test_apply_and_inverse():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from homprop import presentation, term
+from homprop import graphprop, presentation, term
 from homprop.builtins import (
     BUILTIN_NAMES,
     AsVariant,
@@ -38,7 +38,6 @@ from homprop.presentation import (
 from homprop.perm import identity
 from homprop.term import (
     UNIT,
-    Gen,
     GeneratorSymbol,
     Interlayer,
     Layer,
@@ -46,19 +45,22 @@ from homprop.term import (
     LinearTerm,
     Signature,
     SubstitutionError,
-    Tensor,
     UnitFactor,
-    UnitLeaf,
     UnitOccurrence,
     index_units,
-    linear_term,
     substitute,
+)
+
+from oracles import (
+    Gen,
+    Tensor,
+    UnitLeaf,
+    linear_term,
+    ref_relation_key,
+    same_partition,
     tensor,
     vcomp,
 )
-
-import oracles
-from oracles import DecoratedGraph, ref_relation_key, same_partition
 
 MU = GeneratorSymbol("mu", 1, 2)
 DELTA = GeneratorSymbol("delta", 2, 1)
@@ -156,7 +158,7 @@ def test_homify_multiplicative_no_units():
 
 def PermLeaf_id2():
     from homprop.perm import identity
-    from homprop.term import PermLeaf
+    from oracles import PermLeaf
 
     return PermLeaf(identity(2))
 
@@ -353,29 +355,23 @@ def test_linf5_round_trip_builds_no_graph(monkeypatch):
     q = homify_typed(p, theta_max(p.labels))
     back = Presentation(p.signature, apply_substitution_to_relations(
         q.relations, projection_pi(q, "pi")))
-    built, lowered, keyed = [], [], []
-    validate = DecoratedGraph.__post_init__
-    lower = oracles.term_to_graph
+    walked, keyed = [], []
+    walk = graphprop._walk
     key = presentation.monomial_key
 
-    def counting_validate(self):
-        built.append(self)
-        validate(self)
-
-    def counting_lower(mono):
-        lowered.append(mono)
-        return lower(mono)
+    def counting_walk(mono):
+        walked.append(mono)
+        return walk(mono)
 
     def counting_key(mono):
         keyed.append(mono)
         return key(mono)
 
-    monkeypatch.setattr(DecoratedGraph, "__post_init__", counting_validate)
-    monkeypatch.setattr(oracles, "term_to_graph", counting_lower)
+    monkeypatch.setattr(graphprop, "_walk", counting_walk)
     monkeypatch.setattr(presentation, "monomial_key", counting_key)
     assert presentation_matches(back, p)
     assert len(keyed) > 0
-    assert built == [] and lowered == []  # keys come straight from the layers
+    assert walked == keyed  # one walk over the layers per key, and no other
 
 
 SCALES = (Fraction(-1), Fraction(-3, 2), Fraction(2, 7), Fraction(5))

@@ -40,7 +40,6 @@ from homprop.term import (
     LayeredMonomial,
     LinearTerm,
     Signature,
-    layerize,
 )
 
 ALL_PRESENTATIONS = [
@@ -78,7 +77,7 @@ def test_term_round_trip_with_marks():
     p, _ = as_variant(AsVariant.II1)
     mono = p.relations[0].terms[0][1]
     data = term_to_json(mono)
-    back = layerize(term_from_json(data, p.signature))
+    back = term_from_json(data, p.signature)
     assert back == mono
 
 
@@ -88,7 +87,7 @@ def test_term_json_examples():
         {"vcomp": [{"gen": "mu"}, {"tensor": [{"unit": True}, {"gen": "mu"}]}]},
         sig,
     )
-    assert layerize(t).biarity == (1, 3)
+    assert t.biarity == (1, 3)
     with pytest.raises(ParseError):
         term_from_json({"gen": "nope"}, sig)
     with pytest.raises(ParseError):
@@ -103,7 +102,7 @@ def test_nary_nodes_right_associate():
     nested = term_from_json(
         {"tensor": [{"unit": True}, {"tensor": [{"unit": True}, {"gen": "mu"}]}]}, sig
     )
-    assert layerize(nary) == layerize(nested)
+    assert nary == nested
 
 
 def test_plan_round_trip():
@@ -271,7 +270,7 @@ def presentations(draw):
 @PROPERTIES
 @given(layered_monomials())
 def test_monomial_json_round_trip_property(m):
-    assert layerize(term_from_json(term_to_json(m), PROPERTY_SIG)) == m
+    assert term_from_json(term_to_json(m), PROPERTY_SIG) == m
 
 
 @PROPERTIES

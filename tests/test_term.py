@@ -3,29 +3,36 @@ from fractions import Fraction
 
 import pytest
 
-from homprop.perm import Permutation, block_sum, compose, identity, transposition
+from homprop import term
+from homprop.perm import Permutation, compose, identity, transposition
+from homprop.serialize import ParseError, term_from_json
 from homprop.term import (
     UNIT,
-    Gen,
     GeneratorSymbol,
     Interlayer,
     Layer,
     LayeredMonomial,
     LinearTerm,
-    PermLeaf,
     Signature,
     SubstitutionError,
+    VCompArityMismatch,
+    index_units,
+    monomial_degree,
+    substitute,
+)
+
+from oracles import (
+    Gen,
+    PermLeaf,
     Tensor,
     UnitLeaf,
     VComp,
-    VCompArityMismatch,
-    index_units,
     infer_biarity,
     layerize,
     linear_term,
-    monomial_degree,
-    substitute,
     tensor,
+    tree_from_json,
+    tree_to_json,
     vcomp,
 )
 
@@ -324,6 +331,17 @@ def ref_vcomp_chains(chains):
     return LayeredMonomial(top, tuple(layers))
 
 
+def block_sum(p, q):
+    """``p`` acting on the first block of slots, ``q`` shifted after it."""
+    return Permutation(p.images + tuple(q(i) + p.n for i in range(1, q.n + 1)))
+
+
+def test_block_sum():
+    p = Permutation((2, 1))
+    q = Permutation((1, 3, 2))
+    assert block_sum(p, q) == Permutation((2, 1, 3, 5, 4))
+
+
 def ref_join_gaps(left, right):
     perm = block_sum(left.perm, right.perm)
     marks = left.marks + tuple(s + left.width for s in right.marks)
@@ -493,6 +511,60 @@ def test_layerize_reports_the_lowest_mismatch_of_a_run():
         t = vcomp(*(t for t, _ in parts))
         assert layerize_outcome(layerize, t) == layerize_outcome(ref_layerize, t)
     assert multi >= 100
+
+
+def test_builders_make_the_leaves_and_need_a_part():
+    for g in ORACLE_GENS:
+        assert term.generator(g) == ref_leaf_chain(Gen(g))
+    assert term.unit() == ref_leaf_chain(UnitLeaf())
+    for images in ((), (1,), (3, 1, 2)):
+        p = Permutation(images)
+        assert term.permutation(p) == ref_leaf_chain(PermLeaf(p))
+    for compose_parts in (term.tensor, term.vcomp):
+        with pytest.raises(ValueError, match="needs at least one part"):
+            compose_parts()
+
+
+BAD_NODES = [{"wat": 1}, {"gen": "nope"}, {"gen": ["mu"]}, {"unit": 0}, {"perm": [1, 1]},
+             {"perm": [1.0]}, {"tensor": []}, {"vcomp": {}}, [], {"gen": "mu", "unit": True}]
+
+
+def corrupt(rng, data):
+    """``data`` with one node, picked at random, replaced by a malformed one."""
+    slots, todo = [], [data]
+    while todo:
+        for value in todo.pop().values():
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                slots += [(value, i) for i in range(len(value))]
+                todo += value
+    if not slots:
+        return rng.choice(BAD_NODES)
+    nodes, i = rng.choice(slots)
+    nodes[i] = rng.choice(BAD_NODES)
+    return data
+
+
+def test_reading_json_matches_the_tree_reader():
+    # The reader goes straight to chains; the reference reads the whole tree,
+    # checking every node, and only then layers it.  Outcomes, errors and
+    # their ranking included, must agree.
+    signature = Signature(tuple(ORACLE_GENS))
+    rng = random.Random(17)
+    seen = {}
+    for _ in range(2400):
+        t, _ = oracle_term(rng, rng.randint(0, 4), rng.randint(0, 4))
+        try:
+            data = tree_to_json(t, rng)
+        except TypeError:
+            continue
+        if rng.random() < 0.3:
+            data = corrupt(rng, data)
+        want = layerize_outcome(lambda d: layerize(tree_from_json(d, signature)), data)
+        assert layerize_outcome(lambda d: term_from_json(d, signature), data) == want
+        kind = "ok" if isinstance(want, LayeredMonomial) else want[0]
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen.keys() == {"ok", ParseError, ValueError, VCompArityMismatch}
+    assert min(seen.values()) >= 50, seen
 
 
 def test_parsing_builds_each_monomial_once(monkeypatch):
